@@ -24,7 +24,6 @@
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
 #include "obs/metrics.h"
-#include "core/analysis.h"
 #include "platform/cluster.h"
 #include "platform/fault.h"
 #include "platform/ingest.h"
@@ -143,23 +142,19 @@ int main() {
   }
   std::printf("%s", table.ToString().c_str());
 
-  // --- Mining: executor thread sweep + analysis-cache warmth (1 shard) -----
-  // Isolates the two tentpole effects on a single shard's mining sweep
-  // (MinerPipeline::ProcessStore — no indexing or query in the timed
-  // region): the MineExecutor's worker count (cold, recomputing every
-  // artifact) and the shared analysis cache (the identical sweep over a
-  // fresh store with every tokenize/tag/parse a cache hit). Cold and warm
-  // each sweep their own freshly filled store: re-mining the *same* store
-  // would append duplicate annotation layers and bloat the entity copies,
-  // confounding the comparison. Thread speed-up is bounded by the hardware
-  // counter printed above — on a single-core host expect ~flat cold times;
-  // the warm/cold ratio is algorithmic and holds everywhere.
-  std::printf("%s", eval::Banner("Mining — executor threads and analysis "
-                                 "cache, one shard")
-                        .c_str());
+  // --- Mining: executor thread sweep (1 shard) -----------------------------
+  // Isolates one shard's mining sweep (MinerPipeline::ProcessStore — no
+  // indexing or query in the timed region) across the MineExecutor's
+  // worker count. Each thread count mines its own freshly filled store:
+  // re-mining the *same* store would append duplicate annotation layers and
+  // bloat the entity copies, confounding the comparison. Thread speed-up is
+  // bounded by the hardware counter printed above — on a single-core host
+  // expect ~flat times.
+  std::printf("%s",
+              eval::Banner("Mining — executor threads, one shard").c_str());
   // 100x the cluster sweep's corpus: 60k+ entities, so the sweep runs long
-  // enough that per-document costs (allocations, cache probes) dominate
-  // fixed setup and the thread sweep measures steady-state throughput.
+  // enough that per-document costs (allocations, analysis) dominate fixed
+  // setup and the thread sweep measures steady-state throughput.
   // WF_BENCH_SMALL=1 falls back to the small corpus for quick iteration.
   std::vector<std::pair<std::string, std::string>> mine_docs;
   if (::getenv("WF_BENCH_SMALL") != nullptr) {
@@ -177,108 +172,49 @@ int main() {
     }
   }
   std::printf("Mining corpus: %zu entities\n\n", mine_docs.size());
-  eval::TablePrinter mtable({"Threads", "Entities", "Cold mine ms",
-                             "Warm mine ms", "Cold ents/s", "Warm ents/s",
-                             "Warm speed-up", "Allocs/doc"});
+  eval::TablePrinter mtable(
+      {"Threads", "Entities", "Mine ms", "Ents/s", "Allocs/doc"});
   bench::BenchJsonWriter json_mining("mining");
-  auto fill_store = [&mine_docs](platform::DataStore& store) {
+  double base_sweep_ms = 0.0;
+  for (size_t threads : {1, 2, 4, 8}) {
+    platform::MineExecutor executor(
+        platform::MineExecutorOptions{.threads = threads});
+    platform::DataStore store;
     for (const auto& [id, body] : mine_docs) {
       platform::Entity e(id, "crawl");
       e.SetBody(body);
       (void)store.Put(std::move(e));
     }
-  };
-  auto make_pipeline = [&lex, &patterns](core::AnalysisCache* cache) {
-    auto p = std::make_unique<platform::MinerPipeline>();
-    p->AddMiner(std::make_unique<platform::AdHocSentimentMinerPlugin>(
-        &lex, &patterns));
-    p->SetAnalysisProvider(cache);
-    return p;
-  };
-  double base_cold_ms = 0.0;
-  for (size_t threads : {1, 2, 4, 8}) {
-    platform::MineExecutor executor(
-        platform::MineExecutorOptions{.threads = threads});
-
-    obs::MetricsRegistry cold_metrics;
-    core::AnalysisCache cold_cache(
-        core::AnalysisCacheOptions{.max_entries = mine_docs.size()});
-    cold_cache.AttachMetrics(&cold_metrics);
-    platform::DataStore cold_store;
-    fill_store(cold_store);
-    auto cold_pipeline = make_pipeline(&cold_cache);
+    platform::MinerPipeline pipeline;
+    pipeline.AddMiner(
+        std::make_unique<platform::AdHocSentimentMinerPlugin>(&lex, &patterns));
     const uint64_t allocs_before =
         g_new_calls.load(std::memory_order_relaxed);
     auto m0 = Clock::now();
-    cold_pipeline->ProcessStore(cold_store, &executor);
+    pipeline.ProcessStore(store, &executor);
     auto m1 = Clock::now();
-    const uint64_t cold_allocs =
+    const uint64_t allocs =
         g_new_calls.load(std::memory_order_relaxed) - allocs_before;
 
-    // Identical sweep, but the cache already holds every artifact: mining
-    // pays NER + lexicon matching only, not tokenize/tag/parse. Sized to
-    // keep the whole corpus resident, else the prewarm evicts itself.
-    obs::MetricsRegistry warm_metrics;
-    core::AnalysisCache warm_cache(
-        core::AnalysisCacheOptions{.max_entries = mine_docs.size()});
-    warm_cache.AttachMetrics(&warm_metrics);
-    platform::DataStore warm_store;
-    fill_store(warm_store);
-    for (const auto& [id, body] : mine_docs) warm_cache.Analyze(id, body);
-    auto warm_pipeline = make_pipeline(&warm_cache);
-    auto m2 = Clock::now();
-    warm_pipeline->ProcessStore(warm_store, &executor);
-    auto m3 = Clock::now();
-
-    size_t stored = cold_store.size();
-    double cold_ms =
-        std::chrono::duration<double, std::milli>(m1 - m0).count();
-    double warm_ms =
-        std::chrono::duration<double, std::milli>(m3 - m2).count();
-    if (threads == 1) base_cold_ms = cold_ms;
-    double cold_eps = cold_ms > 0 ? 1000.0 * stored / cold_ms : 0.0;
-    double warm_eps = warm_ms > 0 ? 1000.0 * stored / warm_ms : 0.0;
-    const uint64_t allocs_per_doc =
-        stored > 0 ? cold_allocs / stored : cold_allocs;
+    size_t stored = store.size();
+    double mine_ms = std::chrono::duration<double, std::milli>(m1 - m0).count();
+    if (threads == 1) base_sweep_ms = mine_ms;
+    double eps = mine_ms > 0 ? 1000.0 * stored / mine_ms : 0.0;
+    const uint64_t allocs_per_doc = stored > 0 ? allocs / stored : allocs;
     mtable.AddRow({std::to_string(threads), std::to_string(stored),
-                   common::StrFormat("%.1f", cold_ms),
-                   common::StrFormat("%.1f", warm_ms),
-                   common::StrFormat("%.0f", cold_eps),
-                   common::StrFormat("%.0f", warm_eps),
-                   common::StrFormat("%.2fx", warm_ms > 0 ? cold_ms / warm_ms
-                                                          : 0.0),
+                   common::StrFormat("%.1f", mine_ms),
+                   common::StrFormat("%.0f", eps),
                    std::to_string(allocs_per_doc)});
     json_mining.AddRow(
         "mining",
         {bench::Int("threads", threads), bench::Int("entities", stored),
-         bench::Num("cold_mine_ms", cold_ms),
-         bench::Num("warm_mine_ms", warm_ms),
-         bench::Num("entities_per_sec_cold", cold_eps),
-         bench::Num("entities_per_sec_warm", warm_eps),
-         bench::Num("warm_speedup", warm_ms > 0 ? cold_ms / warm_ms : 0.0),
-         bench::Num("thread_speedup_cold",
-                    cold_ms > 0 ? base_cold_ms / cold_ms : 0.0),
-         bench::Int("allocs_per_doc_cold", allocs_per_doc)});
-    // Counter check on the two regimes: the cold sweep misses once per
-    // entity; the warm sweep's timed region should be all hits (its misses
-    // were paid during untimed pre-warming).
-    obs::MetricsSnapshot cold_snap = cold_metrics.Snapshot();
-    obs::MetricsSnapshot warm_snap = warm_metrics.Snapshot();
-    json_mining.AddRow(
-        "mining_cache",
-        {bench::Int("threads", threads),
-         bench::Int("cold_hits",
-                    cold_snap.CounterValue("analysis_cache/hits_total")),
-         bench::Int("cold_misses",
-                    cold_snap.CounterValue("analysis_cache/misses_total")),
-         bench::Int("warm_hits",
-                    warm_snap.CounterValue("analysis_cache/hits_total")),
-         bench::Int("warm_misses",
-                    warm_snap.CounterValue("analysis_cache/misses_total"))});
+         bench::Num("mine_ms", mine_ms), bench::Num("entities_per_sec", eps),
+         bench::Num("thread_speedup",
+                    mine_ms > 0 ? base_sweep_ms / mine_ms : 0.0),
+         bench::Int("allocs_per_doc", allocs_per_doc)});
 
     // End-to-end context: the same corpus through a 1-node cluster's full
-    // MineAndIndexAll (mining + shared-artifact indexing + commit), cold
-    // cache. Indexing and store commit dilute the cache's mining win here.
+    // MineAndIndexAll (mining + commit + indexing).
     platform::Cluster e2e(1);
     e2e.ConfigureMining(platform::MineExecutorOptions{.threads = threads});
     platform::BatchIngestor e2e_ingest("crawl", mine_docs);

@@ -30,6 +30,23 @@ ctest --test-dir build --output-on-failure -j "${JOBS}"
 step "alloc gate: per-document allocation budget"
 ./build/tests/alloc_gate_test
 
+# ctest never runs a bench binary; this smoke run keeps the mining phase of
+# bench_platform_scaling (its executor thread sweep and the end-to-end
+# MineAndIndexAll rows) executing, and checks the JSON it writes. The run
+# happens in a temporary directory so BENCH_*.json never lands in the tree.
+step "bench smoke: bench_platform_scaling (WF_BENCH_SMALL=1)"
+BENCH_TMP="$(mktemp -d)"
+trap 'rm -rf "${BENCH_TMP}"' EXIT
+(cd "${BENCH_TMP}" &&
+  WF_BENCH_SMALL=1 "${ROOT}/build/bench/bench_platform_scaling" >/dev/null)
+python3 - "${BENCH_TMP}/BENCH_mining.json" <<'PY'
+import json, sys
+sections = json.load(open(sys.argv[1]))["sections"]
+assert sections["mining"] and sections["mine_and_index_e2e"], sections
+print("BENCH_mining.json: %d mining rows, %d e2e rows"
+      % (len(sections["mining"]), len(sections["mine_and_index_e2e"])))
+PY
+
 step "wflint: src/ + tests/"
 ./build/src/tools/wflint --report build/wflint-report.tsv src tests
 
@@ -67,8 +84,8 @@ if [[ "${WF_CHECK_TSAN:-0}" == "1" ]]; then
   # and its JSON checker doubles as the malformed-wfstats-export gate.
   # durability_test exercises the WAL/checkpoint layer under the node
   # mutex from the chaos harness's concurrent paths. parallel_mining_test
-  # drives the MineExecutor pool and the lock-striped analysis cache from
-  # many workers at once — the suite the determinism contract lives in.
+  # drives the MineExecutor pool and the per-entity miner chains from many
+  # workers at once — the suite the determinism contract lives in.
   # serving_test hammers the front door's admission queue, coalescing
   # flights, and striped result cache from concurrent open-loop callers —
   # and now the hedged scatter, whose cancel-by-ignore stragglers are

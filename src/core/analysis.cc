@@ -1,36 +1,13 @@
 #include "core/analysis.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/hash.h"
-#include "obs/metrics.h"
 #include "parse/sentence_structure.h"
 #include "pos/tagger.h"
 #include "text/sentence_splitter.h"
 #include "text/tokenizer.h"
 
 namespace wf::core {
-
-size_t LinguisticAnalysis::ApproxBytes() const {
-  size_t bytes = sizeof(LinguisticAnalysis);
-  bytes += arena.bytes_reserved();  // body copy + interned strings
-  bytes += tokens.size() * sizeof(text::Token);
-  bytes += sentences.size() * sizeof(text::SentenceSpan);
-  for (const auto& tags : sentence_tags) {
-    bytes += tags.size() * sizeof(pos::PosTag) + sizeof(tags);
-  }
-  for (const auto& clauses : sentence_clauses) {
-    bytes += sizeof(clauses);
-    for (const parse::SentenceParse& p : clauses) {
-      bytes += sizeof(parse::SentenceParse);
-      bytes += p.chunks.size() * sizeof(parse::Chunk);
-      bytes += p.tags.size() * sizeof(pos::PosTag);
-      bytes += p.pps.size() * sizeof(parse::PpAttachment);
-    }
-  }
-  return bytes;
-}
 
 std::shared_ptr<const LinguisticAnalysis> AnalyzeDocument(
     std::string_view body) {
@@ -62,121 +39,6 @@ std::shared_ptr<const LinguisticAnalysis> AnalyzeDocument(
     analysis->sentence_tags.push_back(std::move(tags));
   }
   return analysis;
-}
-
-AnalysisCache::AnalysisCache(const AnalysisCacheOptions& options)
-    : options_(options) {
-  size_t stripes = std::max<size_t>(1, options_.stripes);
-  if (options_.max_entries > 0 && stripes > options_.max_entries) {
-    stripes = options_.max_entries;
-  }
-  options_.stripes = stripes;
-  per_stripe_capacity_ =
-      options_.max_entries == 0
-          ? 0
-          : std::max<size_t>(1, options_.max_entries / stripes);
-  stripes_.reserve(stripes);
-  for (size_t i = 0; i < stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
-
-void AnalysisCache::AttachMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    hits_ = nullptr;
-    misses_ = nullptr;
-    evictions_ = nullptr;
-    entries_gauge_ = nullptr;
-    return;
-  }
-  hits_ = metrics->GetCounter("analysis_cache/hits_total");
-  misses_ = metrics->GetCounter("analysis_cache/misses_total");
-  evictions_ = metrics->GetCounter("analysis_cache/evictions_total");
-  entries_gauge_ = metrics->GetGauge("analysis_cache/entries");
-}
-
-AnalysisCache::Stripe& AnalysisCache::StripeFor(std::string_view key) {
-  return *stripes_[common::Fnv1a64(key) % stripes_.size()];
-}
-
-void AnalysisCache::Count(obs::Counter* counter) const {
-  if (counter != nullptr) counter->Add(1);
-}
-
-std::shared_ptr<const LinguisticAnalysis> AnalysisCache::Analyze(
-    std::string_view key, std::string_view body) {
-  if (per_stripe_capacity_ == 0) {
-    Count(misses_);
-    return AnalyzeDocument(body);
-  }
-  const uint64_t body_hash = common::Fnv1a64(body);
-  Stripe& stripe = StripeFor(key);
-  {
-    common::MutexLock lock(stripe.mu);
-    for (size_t i = 0; i < stripe.entries.size(); ++i) {
-      Entry& e = stripe.entries[i];
-      if (e.key != key) continue;
-      if (e.body_hash == body_hash && e.body_size == body.size()) {
-        // Move to front (most-recent) and serve the shared artifact.
-        std::shared_ptr<const LinguisticAnalysis> hit = e.analysis;
-        std::rotate(stripe.entries.begin(), stripe.entries.begin() + i,
-                    stripe.entries.begin() + i + 1);
-        Count(hits_);
-        return hit;
-      }
-      // Same id, new body: the cached parse is stale — drop it and refill.
-      stripe.entries.erase(stripe.entries.begin() + i);
-      if (entries_gauge_ != nullptr) entries_gauge_->Add(-1);
-      break;
-    }
-  }
-  // Miss: compute outside the stripe lock so parallel workers never
-  // serialize on each other's parses. A concurrent miss on the same key
-  // computes twice and the later insert wins — identical bytes either way.
-  Count(misses_);
-  std::shared_ptr<const LinguisticAnalysis> fresh = AnalyzeDocument(body);
-  {
-    common::MutexLock lock(stripe.mu);
-    for (size_t i = 0; i < stripe.entries.size(); ++i) {
-      if (stripe.entries[i].key == key) {
-        stripe.entries.erase(stripe.entries.begin() + i);
-        if (entries_gauge_ != nullptr) entries_gauge_->Add(-1);
-        break;
-      }
-    }
-    if (stripe.entries.size() >= per_stripe_capacity_) {
-      stripe.entries.pop_back();  // evict least-recently-used
-      Count(evictions_);
-      if (entries_gauge_ != nullptr) entries_gauge_->Add(-1);
-    }
-    Entry e;
-    e.key.assign(key.data(), key.size());
-    e.body_hash = body_hash;
-    e.body_size = body.size();
-    e.analysis = fresh;
-    stripe.entries.insert(stripe.entries.begin(), std::move(e));
-    if (entries_gauge_ != nullptr) entries_gauge_->Add(1);
-  }
-  return fresh;
-}
-
-void AnalysisCache::Clear() {
-  int64_t dropped = 0;
-  for (auto& stripe : stripes_) {
-    common::MutexLock lock(stripe->mu);
-    dropped += static_cast<int64_t>(stripe->entries.size());
-    stripe->entries.clear();
-  }
-  if (entries_gauge_ != nullptr) entries_gauge_->Add(-dropped);
-}
-
-size_t AnalysisCache::size() const {
-  size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    common::MutexLock lock(stripe->mu);
-    n += stripe->entries.size();
-  }
-  return n;
 }
 
 }  // namespace wf::core

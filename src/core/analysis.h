@@ -2,42 +2,32 @@
 #define WF_CORE_ANALYSIS_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "parse/sentence_structure.h"
 #include "pos/tagset.h"
 #include "text/token.h"
-
-namespace wf::obs {
-class Counter;
-class Gauge;
-class MetricsRegistry;
-}  // namespace wf::obs
 
 namespace wf::core {
 
 // The per-document linguistic-analysis artifact: everything the
 // tokenize -> sentence-split -> POS-tag -> shallow-parse front half of the
-// mining pipeline produces, computed once and shared by every miner that
-// looks at the same document. Immutable after construction, so one artifact
-// may be read concurrently from any number of mining workers.
+// mining pipeline produces, computed once per entity per sweep and shared
+// by every miner in that entity's chain. Immutable after construction, so
+// one artifact may be read concurrently from any number of mining workers.
 //
 // The artifact is a pure function of the document body (all stages are
-// deterministic rule systems with fixed embedded resources), which is what
-// makes caching it safe: a hit and a recompute are byte-identical.
+// deterministic rule systems with fixed embedded resources), so sharing it
+// across miners is invisible in their output.
 //
 // Memory layout (DESIGN.md §15): the artifact owns a bump arena holding a
 // copy of the document body plus every interned string the front half
 // produced. Token::text views slice the body copy; parse lemmas and
 // prepositions are interner-owned views. The arena lives exactly as long
-// as the artifact, so AnalysisCache handing out shared_ptrs keeps every
-// view valid, and destruction frees the whole analysis in O(blocks).
+// as the artifact, so any holder of the shared_ptr keeps every view
+// valid, and destruction frees the whole analysis in O(blocks).
 // Non-copyable (the views would dangle); share via shared_ptr.
 struct LinguisticAnalysis {
   common::Arena arena;    // owns body bytes + interned strings
@@ -50,9 +40,6 @@ struct LinguisticAnalysis {
   // Per sentence, the clause-level shallow parses — exactly what
   // parse::SentenceAnalyzer::AnalyzeClauses returns for sentences[s].
   std::vector<std::vector<parse::SentenceParse>> sentence_clauses;
-
-  // Approximate heap footprint, used for cache accounting.
-  size_t ApproxBytes() const;
 };
 
 // Computes the full artifact for one document body with the default
@@ -60,91 +47,6 @@ struct LinguisticAnalysis {
 // core miners embed). Deterministic; never returns null.
 std::shared_ptr<const LinguisticAnalysis> AnalyzeDocument(
     std::string_view body);
-
-// Source of shared analysis artifacts for the mining pipeline. `key` is a
-// stable document identity (entity id); `body` is the text the artifact
-// must describe. Implementations must be safe to call concurrently and
-// must return an artifact equal to AnalyzeDocument(body) — callers rely on
-// cache hits being indistinguishable from recomputation.
-class AnalysisProvider {
- public:
-  virtual ~AnalysisProvider() = default;
-  virtual std::shared_ptr<const LinguisticAnalysis> Analyze(
-      std::string_view key, std::string_view body) = 0;
-};
-
-struct AnalysisCacheOptions {
-  // Total cached artifacts across all stripes (per-stripe capacity is
-  // max_entries / stripes, at least 1). 0 disables caching entirely —
-  // every Analyze recomputes.
-  size_t max_entries = 4096;
-  // Lock stripes; contention-bound, not correctness-bound. Clamped to at
-  // least 1.
-  size_t stripes = 8;
-};
-
-// Size-bounded, lock-striped LRU cache of analysis artifacts, keyed by
-// document id and validated against a hash of the body (a re-ingested
-// entity with the same id but a new body recomputes instead of serving the
-// stale parse). Artifacts are handed out as shared_ptr, so an eviction
-// never invalidates an artifact a miner is still reading.
-//
-// Computation happens outside the stripe lock: concurrent misses on the
-// same key may compute the artifact twice, but both results are identical
-// (AnalyzeDocument is deterministic) and the second insert simply wins —
-// never a correctness event, only a duplicated cost bounded by the worker
-// count.
-class AnalysisCache : public AnalysisProvider {
- public:
-  AnalysisCache() : AnalysisCache(AnalysisCacheOptions{}) {}
-  explicit AnalysisCache(const AnalysisCacheOptions& options);
-  AnalysisCache(const AnalysisCache&) = delete;
-  AnalysisCache& operator=(const AnalysisCache&) = delete;
-
-  // Mirrors hits/misses/evictions and the live entry count to `metrics`
-  // under analysis_cache/... (nullptr detaches). Configuration, not
-  // data-path: attach before mining starts. The registry must outlive the
-  // attachment.
-  void AttachMetrics(obs::MetricsRegistry* metrics);
-
-  std::shared_ptr<const LinguisticAnalysis> Analyze(
-      std::string_view key, std::string_view body) override;
-
-  // Drops every cached artifact (outstanding shared_ptrs stay valid).
-  void Clear();
-
-  size_t size() const;
-  const AnalysisCacheOptions& options() const { return options_; }
-
- private:
-  struct Entry {
-    std::string key;
-    uint64_t body_hash = 0;
-    size_t body_size = 0;
-    std::shared_ptr<const LinguisticAnalysis> analysis;
-  };
-
-  // One LRU stripe: entries_ is most-recent-first; index_ maps key to the
-  // entry's position in entries_.
-  struct Stripe {
-    mutable common::Mutex mu;
-    // small per-stripe capacity: O(n) moves ok
-    std::vector<Entry> entries WF_GUARDED_BY(mu);
-  };
-
-  Stripe& StripeFor(std::string_view key);
-  void Count(obs::Counter* counter) const;
-
-  AnalysisCacheOptions options_;
-  size_t per_stripe_capacity_ = 0;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-
-  // Metric handles, resolved once by AttachMetrics (null when detached).
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
-  obs::Gauge* entries_gauge_ = nullptr;
-};
 
 }  // namespace wf::core
 

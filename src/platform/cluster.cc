@@ -21,12 +21,12 @@ void ClusterNode::MineAndIndex(MineExecutor* executor) {
   pipeline_.ProcessStore(store_, executor);
   // Index in sorted-id order so the index snapshot is a pure function of
   // the shard contents (the in-memory posting layout never depends on how
-  // mining was scheduled). Mining just populated the analysis cache, so
-  // the token streams here are hits, not a third tokenization. The sweep
+  // mining was scheduled). The index reads only tokens, so it tokenizes
+  // each body rather than rebuilding the miners' full analysis. The sweep
   // streams one entity at a time — a 100x shard never materializes whole.
   size_t indexed = 0;
   store_.ForEach([this, &indexed](const Entity& e) {
-    index_.IndexEntity(e, analysis_cache_.Analyze(e.id(), e.body())->tokens);
+    index_.IndexEntity(e);
     ++indexed;
   });
   metrics_.GetCounter("index/indexed_entities_total")->Add(indexed);
@@ -283,6 +283,12 @@ void Cluster::ConfigureMining(const MineExecutorOptions& options) {
 common::Status Cluster::EnableDurability(
     const DurabilityOptions& options, common::StorageFaultInjector* injector) {
   if (durable_) return Status::FailedPrecondition("durability already enabled");
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i] == nullptr) {
+      return Status::FailedPrecondition(
+          common::StrFormat("node %zu is down", i));
+    }
+  }
   durability_ = options;
   injector_ = injector;
   durable_ = true;

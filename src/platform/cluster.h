@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "common/hash.h"
 #include "common/status.h"
-#include "core/analysis.h"
 #include "obs/metrics.h"
 #include "platform/data_store.h"
 #include "platform/deadline.h"
@@ -43,8 +42,6 @@ class ClusterNode {
  public:
   explicit ClusterNode(size_t id) : id_(id) {
     pipeline_.AttachMetrics(&metrics_);
-    analysis_cache_.AttachMetrics(&metrics_);
-    pipeline_.SetAnalysisProvider(&analysis_cache_);
     store_.AttachMetrics(&metrics_);
     index_.AttachMetrics(&metrics_);
   }
@@ -60,9 +57,6 @@ class ClusterNode {
   // This node's private registry (shared-nothing: shards never share
   // metrics; roll-ups go through Cluster::CollectStats over the bus).
   obs::MetricsRegistry& metrics() { return metrics_; }
-  // The node's shared linguistic-analysis cache (the pipeline's provider):
-  // mining computes each entity's artifact once, indexing and re-mines hit.
-  core::AnalysisCache& analysis_cache() { return analysis_cache_; }
 
   // Runs the miner pipeline over the shard, then (re)indexes every entity
   // in sorted-id order (deterministic sweep, DESIGN.md §10). With an
@@ -126,7 +120,6 @@ class ClusterNode {
   DataStore store_;
   InvertedIndex index_;
   MinerPipeline pipeline_;
-  core::AnalysisCache analysis_cache_;
   obs::MetricsRegistry metrics_;
 
   // Durability configuration (set once by EnableDurability, before any
@@ -281,7 +274,7 @@ class Cluster {
   // whatever that directory already holds — a fresh directory yields empty
   // shards, an old one a restarted cluster. `injector` (optional) threads
   // storage fault injection through all node writes; it must outlive the
-  // cluster.
+  // cluster. FailedPrecondition, with nothing changed, while a node is down.
   common::Status EnableDurability(
       const DurabilityOptions& options,
       common::StorageFaultInjector* injector = nullptr);

@@ -24,9 +24,11 @@ DuplicateDetectionMiner::DuplicateDetectionMiner(const Options& options)
 
 namespace {
 
-// Shingle hash set over an already-tokenized document.
-std::vector<uint64_t> ShingleHashesFromTokens(const text::TokenStream& tokens,
-                                              size_t shingle_size) {
+// Shingle hash set of a document body.
+std::vector<uint64_t> ShingleHashes(const std::string& body,
+                                    size_t shingle_size) {
+  text::Tokenizer tokenizer;
+  const text::TokenStream tokens = tokenizer.Tokenize(body);
   std::vector<std::string> words;
   words.reserve(tokens.size());
   for (const text::Token& t : tokens) {
@@ -51,13 +53,6 @@ std::vector<uint64_t> ShingleHashesFromTokens(const text::TokenStream& tokens,
     shingles.insert(h);
   }
   return std::vector<uint64_t>(shingles.begin(), shingles.end());
-}
-
-// Shingle hash set of a document body (tokenizes locally).
-std::vector<uint64_t> ShingleHashes(const std::string& body,
-                                    size_t shingle_size) {
-  text::Tokenizer tokenizer;
-  return ShingleHashesFromTokens(tokenizer.Tokenize(body), shingle_size);
 }
 
 // MinHash signature from shingle hashes; hash family h_i(x) = a_i*x + b_i
@@ -99,11 +94,6 @@ double ExactJaccard(const std::vector<uint64_t>& a,
 }  // namespace
 
 common::Status DuplicateDetectionMiner::Run(DataStore& store) {
-  return Run(store, nullptr);
-}
-
-common::Status DuplicateDetectionMiner::Run(DataStore& store,
-                                            core::AnalysisProvider* provider) {
   duplicates_.clear();
 
   struct DocSig {
@@ -115,12 +105,7 @@ common::Status DuplicateDetectionMiner::Run(DataStore& store,
   store.ForEach([&](const Entity& e) {
     DocSig d;
     d.id = e.id();
-    d.shingles =
-        provider != nullptr
-            ? ShingleHashesFromTokens(
-                  provider->Analyze(e.id(), e.body())->tokens,
-                  options_.shingle_size)
-            : ShingleHashes(e.body(), options_.shingle_size);
+    d.shingles = ShingleHashes(e.body(), options_.shingle_size);
     d.signature = MinHashSignature(d.shingles, options_.num_hashes);
     docs.push_back(std::move(d));
   });
@@ -167,27 +152,14 @@ common::Status DuplicateDetectionMiner::Run(DataStore& store,
 // --- AggregateStatsMiner ------------------------------------------------------
 
 common::Status AggregateStatsMiner::Run(DataStore& store) {
-  return Run(store, nullptr);
-}
-
-common::Status AggregateStatsMiner::Run(DataStore& store,
-                                        core::AnalysisProvider* provider) {
   stats_ = Stats{};
   std::unordered_set<std::string> vocabulary;
   text::Tokenizer tokenizer;
   store.ForEach([&](const Entity& e) {
     ++stats_.documents;
-    text::TokenStream local;
-    const text::TokenStream* tokens = &local;
-    std::shared_ptr<const core::LinguisticAnalysis> analysis;
-    if (provider != nullptr) {
-      analysis = provider->Analyze(e.id(), e.body());
-      tokens = &analysis->tokens;
-    } else {
-      local = tokenizer.Tokenize(e.body());
-    }
-    stats_.tokens += tokens->size();
-    for (const text::Token& t : *tokens) {
+    const text::TokenStream tokens = tokenizer.Tokenize(e.body());
+    stats_.tokens += tokens.size();
+    for (const text::Token& t : tokens) {
       if (t.kind == text::TokenKind::kWord) {
         ++stats_.words;
         vocabulary.insert(common::ToLower(t.text));

@@ -32,10 +32,6 @@ class DuplicateDetectionMiner : public CorpusMiner {
 
   std::string name() const override { return "duplicate_detection"; }
   common::Status Run(DataStore& store) override;
-  // Shingling consumes the shared token streams instead of re-tokenizing
-  // every body when a provider is given.
-  common::Status Run(DataStore& store,
-                     core::AnalysisProvider* provider) override;
 
   // (duplicate id, representative id) pairs found by the last Run().
   const std::vector<std::pair<std::string, std::string>>& duplicates()
@@ -62,10 +58,6 @@ class AggregateStatsMiner : public CorpusMiner {
 
   std::string name() const override { return "aggregate_stats"; }
   common::Status Run(DataStore& store) override;
-  // Counts over the shared token streams instead of re-tokenizing every
-  // body when a provider is given.
-  common::Status Run(DataStore& store,
-                     core::AnalysisProvider* provider) override;
 
   const Stats& stats() const { return stats_; }
 

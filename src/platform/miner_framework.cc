@@ -40,65 +40,11 @@ void MinerPipeline::AttachMetrics(obs::MetricsRegistry* metrics) {
   }
 }
 
-MineContext MinerPipeline::BuildContext(const Entity& entity,
-                                        bool need_analysis) const {
-  MineContext context;
-  if (!need_analysis || entity.body().empty()) return context;
-  context.analysis =
-      analysis_provider_ != nullptr
-          ? analysis_provider_->Analyze(entity.id(), entity.body())
-          : core::AnalyzeDocument(entity.body());
-  return context;
-}
-
 common::Status MinerPipeline::ProcessEntity(Entity& entity) {
-  bool need_analysis = false;
-  for (size_t i = 0; i < miners_.size(); ++i) {
-    if (miners_[i]->wants_analysis()) {
-      common::MutexLock lock(stats_mu_);
-      if (!stats_[i].quarantined) {
-        need_analysis = true;
-        break;
-      }
-    }
-  }
-  const MineContext context = BuildContext(entity, need_analysis);
-  for (size_t i = 0; i < miners_.size(); ++i) {
-    MinerMetrics handles;
-    {
-      common::MutexLock lock(stats_mu_);
-      if (stats_[i].quarantined) continue;
-      handles = metric_handles_[i];
-    }
-    const uint64_t start_us = obs::MonotonicNowUs();
-    Status s = miners_[i]->Process(entity, context);
-    const uint64_t elapsed = obs::MonotonicNowUs() - start_us;
-    if (handles.stage_us != nullptr) handles.stage_us->Record(elapsed);
-    if (handles.entities != nullptr) handles.entities->Add(1);
-    if (!s.ok() && handles.failures != nullptr) handles.failures->Add(1);
-    {
-      common::MutexLock lock(stats_mu_);
-      stats_[i].total_time += std::chrono::microseconds(elapsed);
-      ++stats_[i].entities;
-      if (s.ok()) {
-        stats_[i].consecutive_failures = 0;
-      } else {
-        ++stats_[i].failures;
-        ++stats_[i].consecutive_failures;
-        if (quarantine_threshold_ > 0 &&
-            stats_[i].consecutive_failures >= quarantine_threshold_ &&
-            !stats_[i].quarantined) {
-          stats_[i].quarantined = true;
-          if (handles.quarantined != nullptr) handles.quarantined->Add(1);
-          WF_LOG(Warning) << "quarantining miner '" << stats_[i].name
-                          << "' after " << stats_[i].consecutive_failures
-                          << " consecutive failures: " << s.ToString();
-        }
-      }
-    }
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
+  Sweep sweep = BeginSweep(1);
+  Status s = RunChain(sweep, 0, entity);
+  EndSweep(sweep);
+  return s;
 }
 
 void MinerPipeline::ClearQuarantines() {
@@ -113,66 +59,106 @@ void MinerPipeline::ProcessStore(DataStore& store) {
   ProcessStore(store, nullptr);
 }
 
+MinerPipeline::Sweep MinerPipeline::BeginSweep(size_t entity_count) const {
+  // Sweep-boundary quarantine snapshot (see header contract): the active
+  // set is fixed before the first entity, so it cannot depend on the order
+  // entities happen to finish in.
+  const size_t miner_count = miners_.size();
+  Sweep sweep;
+  sweep.active.assign(miner_count, 0);
+  sweep.handles.resize(miner_count);
+  {
+    common::MutexLock lock(stats_mu_);
+    for (size_t i = 0; i < miner_count; ++i) {
+      sweep.active[i] = stats_[i].quarantined ? 0 : 1;
+      sweep.handles[i] = metric_handles_[i];
+    }
+  }
+  for (size_t i = 0; i < miner_count; ++i) {
+    if (!sweep.active[i]) continue;
+    if (miners_[i]->wants_analysis()) sweep.need_analysis = true;
+    if (!miners_[i]->parallel_safe()) sweep.all_parallel_safe = false;
+  }
+  sweep.outcomes.assign(entity_count * miner_count, StepOutcome::kNotRun);
+  sweep.elapsed_us.assign(entity_count * miner_count, 0);
+  return sweep;
+}
+
+common::Status MinerPipeline::RunChain(Sweep& sweep, size_t e,
+                                       Entity& entity) const {
+  // One artifact per entity, shared by every miner in its chain and
+  // dropped when the chain ends.
+  MineContext context;
+  if (sweep.need_analysis && !entity.body().empty()) {
+    context.analysis = core::AnalyzeDocument(entity.body());
+  }
+  const size_t miner_count = miners_.size();
+  for (size_t i = 0; i < miner_count; ++i) {
+    if (!sweep.active[i]) continue;
+    const MinerMetrics& handles = sweep.handles[i];
+    const uint64_t start_us = obs::MonotonicNowUs();
+    Status s = miners_[i]->Process(entity, context);
+    const uint64_t elapsed = obs::MonotonicNowUs() - start_us;
+    sweep.elapsed_us[e * miner_count + i] = elapsed;
+    sweep.outcomes[e * miner_count + i] =
+        s.ok() ? StepOutcome::kOk : StepOutcome::kFailed;
+    if (handles.stage_us != nullptr) handles.stage_us->Record(elapsed);
+    if (handles.entities != nullptr) handles.entities->Add(1);
+    if (!s.ok()) {
+      if (handles.failures != nullptr) handles.failures->Add(1);
+      return s;  // first failure stops this entity's chain
+    }
+  }
+  return Status::Ok();
+}
+
+void MinerPipeline::EndSweep(const Sweep& sweep) {
+  // Row-major order is canonical order: entity by entity, and within an
+  // entity miner by miner — the same trips fire regardless of execution
+  // interleaving.
+  common::MutexLock lock(stats_mu_);
+  for (size_t k = 0; k < sweep.outcomes.size(); ++k) {
+    const StepOutcome outcome = sweep.outcomes[k];
+    if (outcome == StepOutcome::kNotRun) continue;
+    const size_t i = k % miners_.size();
+    stats_[i].total_time += std::chrono::microseconds(sweep.elapsed_us[k]);
+    ++stats_[i].entities;
+    if (outcome == StepOutcome::kOk) {
+      stats_[i].consecutive_failures = 0;
+      continue;
+    }
+    ++stats_[i].failures;
+    ++stats_[i].consecutive_failures;
+    if (quarantine_threshold_ > 0 &&
+        stats_[i].consecutive_failures >= quarantine_threshold_ &&
+        !stats_[i].quarantined) {
+      stats_[i].quarantined = true;
+      if (sweep.handles[i].quarantined != nullptr) {
+        sweep.handles[i].quarantined->Add(1);
+      }
+      WF_LOG(Warning) << "quarantining miner '" << stats_[i].name
+                      << "' after " << stats_[i].consecutive_failures
+                      << " consecutive failures";
+    }
+  }
+}
+
 void MinerPipeline::ProcessStore(DataStore& store, MineExecutor* executor) {
   // Canonical sweep order: sorted by id. The snapshot decouples mining
   // from the store lock, so a stats RPC mid-sweep never blocks on a slow
   // miner, and the parallel path mutates only thread-private copies.
   std::vector<Entity> entities = store.SnapshotSorted();
-  const size_t entity_count = entities.size();
-  const size_t miner_count = miners_.size();
-  if (miner_count == 0 || entity_count == 0) return;
+  if (miners_.empty() || entities.empty()) return;
 
-  // Sweep-boundary quarantine snapshot (see header contract): the active
-  // set is fixed before the first entity, so it cannot depend on the order
-  // entities happen to finish in.
-  std::vector<char> active(miner_count, 0);
-  std::vector<MinerMetrics> handles(miner_count);
-  {
-    common::MutexLock lock(stats_mu_);
-    for (size_t i = 0; i < miner_count; ++i) {
-      active[i] = stats_[i].quarantined ? 0 : 1;
-      handles[i] = metric_handles_[i];
-    }
-  }
-  bool need_analysis = false;
-  bool all_parallel_safe = true;
-  for (size_t i = 0; i < miner_count; ++i) {
-    if (!active[i]) continue;
-    if (miners_[i]->wants_analysis()) need_analysis = true;
-    if (!miners_[i]->parallel_safe()) all_parallel_safe = false;
-  }
-
-  // Per-(entity, miner) outcome and elapsed-time matrices, filled by
-  // whichever thread runs the entity and replayed in canonical order
-  // below. Indexed [entity * miner_count + miner].
-  std::vector<StepOutcome> outcomes(entity_count * miner_count,
-                                    StepOutcome::kNotRun);
-  std::vector<uint64_t> elapsed_us(entity_count * miner_count, 0);
-
+  Sweep sweep = BeginSweep(entities.size());
   auto run_entity = [&](size_t e) {
-    Entity& entity = entities[e];
-    const MineContext context = BuildContext(entity, need_analysis);
-    for (size_t i = 0; i < miner_count; ++i) {
-      if (!active[i]) continue;
-      const uint64_t start_us = obs::MonotonicNowUs();
-      Status s = miners_[i]->Process(entity, context);
-      const uint64_t elapsed = obs::MonotonicNowUs() - start_us;
-      elapsed_us[e * miner_count + i] = elapsed;
-      outcomes[e * miner_count + i] =
-          s.ok() ? StepOutcome::kOk : StepOutcome::kFailed;
-      if (handles[i].stage_us != nullptr) handles[i].stage_us->Record(elapsed);
-      if (handles[i].entities != nullptr) handles[i].entities->Add(1);
-      if (!s.ok()) {
-        if (handles[i].failures != nullptr) handles[i].failures->Add(1);
-        break;  // first failure stops this entity's chain
-      }
-    }
+    Status s = RunChain(sweep, e, entities[e]);
+    (void)s;  // recorded in the outcome matrix; failures never stop a sweep
   };
-
-  if (executor != nullptr && all_parallel_safe) {
-    executor->ParallelFor(entity_count, run_entity);
+  if (executor != nullptr && sweep.all_parallel_safe) {
+    executor->ParallelFor(entities.size(), run_entity);
   } else {
-    for (size_t e = 0; e < entity_count; ++e) run_entity(e);
+    for (size_t e = 0; e < entities.size(); ++e) run_entity(e);
   }
 
   // Commit in canonical order on the calling thread: identical Upsert
@@ -184,34 +170,7 @@ void MinerPipeline::ProcessStore(DataStore& store, MineExecutor* executor) {
     common::Status upserted = store.Upsert(std::move(entity));
     (void)upserted;
   }
-
-  // Replay the outcome matrix in canonical order to update streaks and
-  // quarantine — the same trips fire regardless of execution interleaving.
-  common::MutexLock lock(stats_mu_);
-  for (size_t e = 0; e < entity_count; ++e) {
-    for (size_t i = 0; i < miner_count; ++i) {
-      const StepOutcome outcome = outcomes[e * miner_count + i];
-      if (outcome == StepOutcome::kNotRun) continue;
-      stats_[i].total_time +=
-          std::chrono::microseconds(elapsed_us[e * miner_count + i]);
-      ++stats_[i].entities;
-      if (outcome == StepOutcome::kOk) {
-        stats_[i].consecutive_failures = 0;
-        continue;
-      }
-      ++stats_[i].failures;
-      ++stats_[i].consecutive_failures;
-      if (quarantine_threshold_ > 0 &&
-          stats_[i].consecutive_failures >= quarantine_threshold_ &&
-          !stats_[i].quarantined) {
-        stats_[i].quarantined = true;
-        if (handles[i].quarantined != nullptr) handles[i].quarantined->Add(1);
-        WF_LOG(Warning) << "quarantining miner '" << stats_[i].name
-                        << "' after " << stats_[i].consecutive_failures
-                        << " consecutive failures";
-      }
-    }
-  }
+  EndSweep(sweep);
 }
 
 std::vector<MinerPipeline::MinerStats> MinerPipeline::Stats() const {

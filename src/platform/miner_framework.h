@@ -24,10 +24,11 @@ namespace wf::platform {
 class MineExecutor;
 
 // Per-entity context the pipeline hands to every miner in the chain: the
-// shared linguistic-analysis artifact, computed (or cache-fetched) once so
-// plugins stop re-running the identical tokenize→tag→parse front end.
-// `analysis` is null when no miner in the pipeline asked for it (see
-// EntityMiner::wants_analysis) or the entity has an empty body.
+// shared linguistic-analysis artifact, computed once per entity per sweep
+// so plugins stop re-running the identical tokenize→tag→parse front end,
+// and dropped when the entity's chain ends. `analysis` is null when no
+// miner in the pipeline asked for it (see EntityMiner::wants_analysis) or
+// the entity has an empty body.
 struct MineContext {
   std::shared_ptr<const core::LinguisticAnalysis> analysis;
 };
@@ -69,15 +70,6 @@ class CorpusMiner {
   virtual ~CorpusMiner() = default;
   virtual std::string name() const = 0;
   virtual common::Status Run(DataStore& store) = 0;
-
-  // Provider-aware entry point: implementations that tokenize every body
-  // override this and fetch shared artifacts instead. Default ignores the
-  // provider.
-  virtual common::Status Run(DataStore& store,
-                             core::AnalysisProvider* provider) {
-    (void)provider;
-    return Run(store);
-  }
 };
 
 // A chain of entity-level miners applied in registration order, with
@@ -98,8 +90,8 @@ class CorpusMiner {
 // streaks/quarantine trips are replayed in that same canonical order.
 // Quarantine is evaluated at sweep boundaries: miners quarantined when the
 // sweep starts are skipped throughout; a streak that crosses the threshold
-// during the sweep trips quarantine for subsequent sweeps (and for direct
-// ProcessEntity calls, which keep the original online semantics).
+// during the sweep trips quarantine for subsequent sweeps. ProcessEntity is
+// the one-entity sweep, so a quarantine it trips applies from the next call.
 class MinerPipeline {
  public:
   struct MinerStats {
@@ -124,17 +116,6 @@ class MinerPipeline {
   // record. Configuration, not data-path: attach before processing starts.
   // The registry must outlive this pipeline; nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* metrics);
-
-  // Source of shared linguistic-analysis artifacts for miners that want
-  // them (typically a node's AnalysisCache); nullptr (the default) makes
-  // the pipeline compute a fresh artifact per entity instead. The provider
-  // must outlive this pipeline. Configuration, not data-path.
-  void SetAnalysisProvider(core::AnalysisProvider* provider) {
-    analysis_provider_ = provider;
-  }
-  core::AnalysisProvider* analysis_provider() const {
-    return analysis_provider_;
-  }
 
   // Runs every non-quarantined miner over the entity, in order. Stops at
   // (and returns) the first failure; quarantined miners are skipped.
@@ -179,13 +160,31 @@ class MinerPipeline {
   // to update streaks/quarantine identically at every thread count.
   enum class StepOutcome : uint8_t { kNotRun = 0, kOk, kFailed };
 
+  // One sweep: the miner set fixed at its boundary, and the per-(entity,
+  // miner) outcome and elapsed-time matrices its chains fill, indexed
+  // [entity * miner_count + miner].
+  struct Sweep {
+    std::vector<char> active;
+    std::vector<MinerMetrics> handles;
+    bool need_analysis = false;
+    bool all_parallel_safe = true;
+    std::vector<StepOutcome> outcomes;
+    std::vector<uint64_t> elapsed_us;
+  };
+
   MinerMetrics ResolveMetrics(const std::string& miner_name) const;
-  MineContext BuildContext(const Entity& entity, bool need_analysis) const;
+  Sweep BeginSweep(size_t entity_count) const;
+  // Runs entity `e`'s chain over the sweep's active miners and records each
+  // step in row `e` of the matrices; chains of distinct entities may run
+  // concurrently. Stops at (and returns) the first failure.
+  common::Status RunChain(Sweep& sweep, size_t e, Entity& entity) const;
+  // Replays the matrices into stats_ in canonical order: per-miner totals,
+  // failure streaks and quarantine trips.
+  void EndSweep(const Sweep& sweep);
 
   std::vector<std::unique_ptr<EntityMiner>> miners_;
   size_t quarantine_threshold_ = kDefaultQuarantineThreshold;
   obs::MetricsRegistry* metrics_ = nullptr;
-  core::AnalysisProvider* analysis_provider_ = nullptr;
   std::vector<MinerMetrics> metric_handles_;  // parallel to miners_
   // Guards stats_. AddMiner is configuration, not data-path: it must not
   // run concurrently with processing (miners_ itself is unguarded).

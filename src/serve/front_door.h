@@ -185,8 +185,8 @@ class FrontDoor {
     std::string published_payload WF_GUARDED_BY(mu);
   };
 
-  // Lock-striped LRU result cache (the AnalysisCache shape: small striped
-  // vectors, linear scan, LRU tick per stripe).
+  // Lock-striped LRU result cache: small striped vectors, linear scan, LRU
+  // tick per stripe.
   struct CacheEntry {
     std::string key;
     std::string payload;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <thread>
 
 #include "common/rng.h"
@@ -29,6 +30,11 @@ struct SweepCase {
   Register reg;
   const char* label;
 };
+
+// gtest prints the parameter into every listed test name. Without this it
+// dumps the struct's raw bytes, heap pointer included, so the names changed
+// from one build to the next.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.label; }
 
 class AgreementSweep : public ::testing::TestWithParam<SweepCase> {
  protected:

@@ -20,6 +20,7 @@
 #include "obs/trace.h"
 #include "lexicon/sentiment_lexicon.h"
 #include "platform/cluster.h"
+#include "platform/data_store.h"
 #include "platform/fault.h"
 #include "platform/ingest.h"
 #include "platform/miner_framework.h"
@@ -289,6 +290,18 @@ class CountingMiner : public EntityMiner {
   size_t* count_;
 };
 
+void ExpectSameStats(const std::vector<MinerPipeline::MinerStats>& a,
+                     const std::vector<MinerPipeline::MinerStats>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].entities, b[i].entities) << a[i].name;
+    EXPECT_EQ(a[i].failures, b[i].failures) << a[i].name;
+    EXPECT_EQ(a[i].consecutive_failures, b[i].consecutive_failures)
+        << a[i].name;
+    EXPECT_EQ(a[i].quarantined, b[i].quarantined) << a[i].name;
+  }
+}
+
 TEST(MinerQuarantineTest, RepeatedFailuresQuarantineOnlyTheSickMiner) {
   size_t processed = 0;
   MinerPipeline pipeline;
@@ -296,16 +309,35 @@ TEST(MinerQuarantineTest, RepeatedFailuresQuarantineOnlyTheSickMiner) {
   pipeline.AddMiner(std::make_unique<BrokenMiner>());
   pipeline.AddMiner(std::make_unique<CountingMiner>(&processed));
 
+  // A second pipeline replays the schedule through one-entity ProcessStore
+  // sweeps. ProcessEntity is the one-entity sweep, so after every step both
+  // must hold the same stats.
+  size_t swept = 0;
+  MinerPipeline sweeper;
+  sweeper.SetQuarantineThreshold(3);
+  sweeper.AddMiner(std::make_unique<BrokenMiner>());
+  sweeper.AddMiner(std::make_unique<CountingMiner>(&swept));
+
   Entity e("doc", "test");
   e.SetBody("hello");
+  DataStore store;
+  ASSERT_TRUE(store.Put(e).ok());
+  auto step = [&] {
+    const bool ok = pipeline.ProcessEntity(e).ok();
+    sweeper.ProcessStore(store);
+    ExpectSameStats(pipeline.Stats(), sweeper.Stats());
+    EXPECT_EQ(processed, swept);
+    return ok;
+  };
+
   // While the broken miner is live it fails the entity (and starves the
   // healthy miner behind it, since the chain stops at the first failure).
   for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(pipeline.ProcessEntity(e).ok());
+    EXPECT_FALSE(step());
   }
   EXPECT_EQ(processed, 0u);
   // Quarantined: the chain now skips it and the healthy miner runs.
-  EXPECT_TRUE(pipeline.ProcessEntity(e).ok());
+  EXPECT_TRUE(step());
   EXPECT_EQ(processed, 1u);
 
   std::vector<MinerPipeline::MinerStats> stats = pipeline.Stats();
@@ -315,7 +347,8 @@ TEST(MinerQuarantineTest, RepeatedFailuresQuarantineOnlyTheSickMiner) {
   EXPECT_FALSE(stats[1].quarantined);
 
   pipeline.ClearQuarantines();
-  EXPECT_FALSE(pipeline.ProcessEntity(e).ok());  // broken miner is back
+  sweeper.ClearQuarantines();
+  EXPECT_FALSE(step());  // broken miner is back
   EXPECT_FALSE(pipeline.Stats()[0].quarantined);  // streak restarted at 1
 }
 

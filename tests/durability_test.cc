@@ -519,6 +519,20 @@ TEST(ClusterDurabilityTest, WholeClusterRestartsFromItsDirectory) {
   EXPECT_EQ(result.docs.size(), ids.size());
 }
 
+TEST(ClusterDurabilityTest, EnablingWithANodeDownFailsAndChangesNothing) {
+  ScopedTempDir dir("cluster_node_down");
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.CrashNode(1).ok());  // allowed on a non-durable cluster
+  common::Status s = cluster.EnableDurability({dir.path(), 0});
+  EXPECT_EQ(s.code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("node 1"), std::string::npos) << s.ToString();
+  // The live node was left alone, and the cluster is still not durable, so
+  // there is nothing to restart the crashed node from.
+  EXPECT_FALSE(cluster.node(0).durable());
+  EXPECT_EQ(cluster.RestartNode(1).code(),
+            common::StatusCode::kFailedPrecondition);
+}
+
 TEST(ClusterDurabilityTest, CorruptCheckpointSurfacesAsCorruption) {
   ScopedTempDir dir("cluster_corrupt");
   {

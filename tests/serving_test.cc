@@ -777,10 +777,14 @@ TEST(FrontDoorAimdTest, LimitConvergesUnderOverloadAndRecovers) {
   options.default_budget_us = 2 * 1000 * 1000;
   ServingHarness h(options);
 
-  // Overload: every scatter call costs 10ms simulated network, pushing
-  // end-to-end far past the 150ms target. Each completion window must cut
+  // Overload: every scatter call costs 100ms simulated network. A query
+  // runs two scatters back to back and each waits at least one round trip,
+  // so every end-to-end time is at least 200ms, past the 150ms target
+  // however wide the scatter pool is. (At 10ms the six queries finished
+  // between ~100ms and ~170ms on a 4-vCPU host, straddling the target, and
+  // a window could increase the limit.) Each completion window must cut
   // the limit multiplicatively until it hits the floor.
-  h.cluster.bus().SetSimulatedLatency(10000);
+  h.cluster.bus().SetSimulatedLatency(100000);
   std::vector<std::thread> callers;
   for (int t = 0; t < 6; ++t) {
     callers.emplace_back([&h, t] {
