@@ -172,6 +172,25 @@ int main() {
     }
   }
   std::printf("Mining corpus: %zu entities\n\n", mine_docs.size());
+  // A 1-node cluster's full MineAndIndexAll (mining + commit + indexing)
+  // over `corpus`, in ms.
+  auto mine_and_index_ms =
+      [&lex, &patterns](
+          const std::vector<std::pair<std::string, std::string>>& corpus,
+          size_t threads) {
+        platform::Cluster one(1);
+        one.ConfigureMining(platform::MineExecutorOptions{.threads = threads});
+        platform::BatchIngestor ingest("crawl", corpus);
+        platform::IngestAll(ingest, one);
+        one.DeployMiner([&lex, &patterns] {
+          return std::make_unique<platform::AdHocSentimentMinerPlugin>(
+              &lex, &patterns);
+        });
+        auto t0 = Clock::now();
+        one.MineAndIndexAll();
+        return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            .count();
+      };
   eval::TablePrinter mtable(
       {"Threads", "Entities", "Mine ms", "Ents/s", "Allocs/doc"});
   bench::BenchJsonWriter json_mining("mining");
@@ -213,20 +232,8 @@ int main() {
                     mine_ms > 0 ? base_sweep_ms / mine_ms : 0.0),
          bench::Int("allocs_per_doc", allocs_per_doc)});
 
-    // End-to-end context: the same corpus through a 1-node cluster's full
-    // MineAndIndexAll (mining + commit + indexing).
-    platform::Cluster e2e(1);
-    e2e.ConfigureMining(platform::MineExecutorOptions{.threads = threads});
-    platform::BatchIngestor e2e_ingest("crawl", mine_docs);
-    platform::IngestAll(e2e_ingest, e2e);
-    e2e.DeployMiner([&lex, &patterns] {
-      return std::make_unique<platform::AdHocSentimentMinerPlugin>(&lex,
-                                                                   &patterns);
-    });
-    auto e0 = Clock::now();
-    e2e.MineAndIndexAll();
-    auto e1 = Clock::now();
-    double e2e_ms = std::chrono::duration<double, std::milli>(e1 - e0).count();
+    // End-to-end context: the same corpus through MineAndIndexAll.
+    const double e2e_ms = mine_and_index_ms(mine_docs, threads);
     json_mining.AddRow(
         "mine_and_index_e2e",
         {bench::Int("threads", threads), bench::Int("entities", stored),
@@ -235,6 +242,39 @@ int main() {
                     e2e_ms > 0 ? 1000.0 * stored / e2e_ms : 0.0)});
   }
   std::printf("%s", mtable.ToString().c_str());
+
+  // --- Mining at two corpus scales (1 node) --------------------------------
+  // The whole Mode-B pass (mine, index, commit) over the first tenth of the
+  // corpus and over all of it, at the hardware thread count. Per-doc cost
+  // must stay flat as the shard grows: a superlinear layer shows as a
+  // ratio well above 1.
+  const size_t scale_threads = platform::MineExecutor::ResolveThreads(0);
+  eval::TablePrinter stable({"Entities", "Mine+index ms", "us/doc"});
+  std::vector<double> us_per_doc;
+  const std::vector<size_t> scale_sizes = {mine_docs.size() / 10,
+                                          mine_docs.size()};
+  for (size_t n : scale_sizes) {
+    const double ms = mine_and_index_ms(
+        {mine_docs.begin(), mine_docs.begin() + static_cast<long>(n)},
+        scale_threads);
+    us_per_doc.push_back(n > 0 ? 1000.0 * ms / static_cast<double>(n) : 0.0);
+    stable.AddRow({std::to_string(n), common::StrFormat("%.1f", ms),
+                   common::StrFormat("%.1f", us_per_doc.back())});
+  }
+  const double scale_ratio =
+      us_per_doc[0] > 0 ? us_per_doc[1] / us_per_doc[0] : 0.0;
+  std::printf("One-node MineAndIndexAll at two corpus scales (%zu threads): "
+              "us/doc ratio %.2f\n%s",
+              scale_threads, scale_ratio, stable.ToString().c_str());
+  json_mining.AddRow(
+      "mine_and_index_scale",
+      {bench::Int("threads", scale_threads),
+       bench::Int("small_entities", scale_sizes[0]),
+       bench::Num("small_us_per_doc", us_per_doc[0]),
+       bench::Int("full_entities", scale_sizes[1]),
+       bench::Num("full_us_per_doc", us_per_doc[1]),
+       bench::Num("us_per_doc_ratio", scale_ratio)});
+
   std::string mining_json_path = json_mining.WriteFile();
   if (!mining_json_path.empty()) {
     std::printf("Machine-readable mining results: %s\n",

@@ -36,8 +36,13 @@ inline JsonField Int(const std::string& key, uint64_t value) {
   return {key, common::StrFormat("%llu",
                                  static_cast<unsigned long long>(value))};
 }
+// JSON text is built with appends throughout: GCC 12 misreads a "literal"
+// + std::string temporary as an overlapping copy (-Wrestrict, Release only).
 inline JsonField Str(const std::string& key, const std::string& value) {
-  return {key, "\"" + obs::JsonEscape(value) + "\""};
+  std::string rendered = "\"";
+  rendered += obs::JsonEscape(value);
+  rendered += '"';
+  return {key, std::move(rendered)};
 }
 
 // Machine-readable mirror of a bench's tables: rows accumulate per section
@@ -54,8 +59,10 @@ class BenchJsonWriter {
     std::string row = "{";
     for (size_t i = 0; i < fields.size(); ++i) {
       if (i > 0) row += ',';
-      row += "\"" + obs::JsonEscape(fields[i].key) +
-             "\":" + fields[i].rendered;
+      row += '"';
+      row += obs::JsonEscape(fields[i].key);
+      row += "\":";
+      row += fields[i].rendered;
     }
     row += "}";
     sections_[section].push_back(std::move(row));
@@ -79,7 +86,9 @@ class BenchJsonWriter {
     for (const auto& [section, rows] : sections_) {
       if (!first_section) out += ',';
       first_section = false;
-      out += "\"" + obs::JsonEscape(section) + "\":[";
+      out += '"';
+      out += obs::JsonEscape(section);
+      out += "\":[";
       for (size_t i = 0; i < rows.size(); ++i) {
         if (i > 0) out += ',';
         out += rows[i];

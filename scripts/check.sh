@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # One-command correctness gate: tier-1 build + tests, the wflint static
-# pass, and an ASan+UBSan test sweep. Mirrors what CI should run.
+# pass, a Release build, and an ASan+UBSan test sweep. Mirrors what CI
+# should run.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # tier-1 + wflint only (skip sanitizers)
+#   scripts/check.sh --fast     # tier-1 + wflint only (skip Release and
+#                               # sanitizers)
 #   WF_CHECK_TSAN=1 scripts/check.sh   # additionally run TSan over the
 #                                      # threaded platform suites
 set -euo pipefail
@@ -31,9 +33,10 @@ step "alloc gate: per-document allocation budget"
 ./build/tests/alloc_gate_test
 
 # ctest never runs a bench binary; this smoke run keeps the mining phase of
-# bench_platform_scaling (its executor thread sweep and the end-to-end
-# MineAndIndexAll rows) executing, and checks the JSON it writes. The run
-# happens in a temporary directory so BENCH_*.json never lands in the tree.
+# bench_platform_scaling (its executor thread sweep, the end-to-end
+# MineAndIndexAll rows and the two-scale rows) executing, and checks the
+# JSON it writes. The run happens in a temporary directory so
+# BENCH_*.json never lands in the tree.
 step "bench smoke: bench_platform_scaling (WF_BENCH_SMALL=1)"
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "${BENCH_TMP}"' EXIT
@@ -43,8 +46,11 @@ python3 - "${BENCH_TMP}/BENCH_mining.json" <<'PY'
 import json, sys
 sections = json.load(open(sys.argv[1]))["sections"]
 assert sections["mining"] and sections["mine_and_index_e2e"], sections
-print("BENCH_mining.json: %d mining rows, %d e2e rows"
-      % (len(sections["mining"]), len(sections["mine_and_index_e2e"])))
+scale = sections["mine_and_index_scale"]
+assert len(scale) == 1 and scale[0]["us_per_doc_ratio"] > 0, scale
+print("BENCH_mining.json: %d mining rows, %d e2e rows, us/doc ratio %.2f"
+      % (len(sections["mining"]), len(sections["mine_and_index_e2e"]),
+         scale[0]["us_per_doc_ratio"]))
 PY
 
 step "wflint: src/ + tests/"
@@ -63,9 +69,16 @@ else
 fi
 
 if [[ "${FAST}" == "1" ]]; then
-  echo "--fast: skipping sanitizer passes"
+  echo "--fast: skipping the Release build and sanitizer passes"
   exit 0
 fi
+
+# The optimizer sees through more inlining than the default
+# RelWithDebInfo build, so some warnings only fire here.
+step "Release: configure + build (-Werror)"
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DWF_WERROR=ON \
+  >/dev/null
+cmake --build build-release -j "${JOBS}"
 
 step "ASan+UBSan: build + full suite (ctest -L sanitize)"
 cmake -B build-asan -S . -DWF_SANITIZE=address,undefined >/dev/null

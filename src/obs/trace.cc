@@ -172,16 +172,24 @@ std::string Tracer::ExportJson() const {
     out += "{\"trace\":\"" + IdToHex(span.trace_id) + "\"";
     out += ",\"span\":\"" + IdToHex(span.span_id) + "\"";
     out += ",\"parent\":";
-    out += span.parent_span_id == 0
-               ? "null"
-               : "\"" + IdToHex(span.parent_span_id) + "\"";
+    if (span.parent_span_id == 0) {
+      out += "null";
+    } else {
+      out += '"';
+      out += IdToHex(span.parent_span_id);
+      out += '"';
+    }
     out += ",\"name\":\"" + JsonEscape(span.name) + "\"";
     out += ",\"attrs\":{";
     bool first_attr = true;
     for (const auto& [key, value] : span.attrs) {
       if (!first_attr) out += ',';
       first_attr = false;
-      out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      out += '"';
+      out += JsonEscape(key);
+      out += "\":\"";
+      out += JsonEscape(value);
+      out += '"';
     }
     out += "}}";
   }

@@ -18,14 +18,13 @@ void ClusterNode::MineAndIndex(MineExecutor* executor) {
   obs::ScopedTimer timer(metrics_.GetHistogram(
       "node/mine_and_index_us", obs::DefaultLatencyBoundsUs(),
       /*timing=*/true));
-  pipeline_.ProcessStore(store_, executor);
-  // Index in sorted-id order so the index snapshot is a pure function of
+  // One pass over the shard: the sweep hands each mined entity to the
+  // index in sorted-id order, so the index snapshot is a pure function of
   // the shard contents (the in-memory posting layout never depends on how
   // mining was scheduled). The index reads only tokens, so it tokenizes
-  // each body rather than rebuilding the miners' full analysis. The sweep
-  // streams one entity at a time — a 100x shard never materializes whole.
+  // each body rather than rebuilding the miners' full analysis.
   size_t indexed = 0;
-  store_.ForEach([this, &indexed](const Entity& e) {
+  pipeline_.ProcessStore(store_, executor, [this, &indexed](const Entity& e) {
     index_.IndexEntity(e);
     ++indexed;
   });

@@ -92,13 +92,6 @@ std::vector<std::string> DataStore::Ids() const {
   return out;
 }
 
-std::vector<Entity> DataStore::SnapshotSorted() const {
-  std::vector<Entity> out;
-  out.reserve(lsm_.size());
-  ForEach([&out](const Entity& entity) { out.push_back(entity); });
-  return out;
-}
-
 common::Status DataStore::Save(const std::string& path,
                                common::StorageFaultInjector* injector) const {
   // Length-prefixed entity records under the checksummed snapshot

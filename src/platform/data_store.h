@@ -77,11 +77,6 @@ class DataStore {
   // entity record is materialized, whatever the store size.
   std::vector<std::string> Ids() const;
 
-  // Copies of every entity, sorted by id — the canonical sweep order the
-  // deterministic mining path processes and commits in. Materializes the
-  // whole store; prefer ForEach for streaming sweeps.
-  std::vector<Entity> SnapshotSorted() const;
-
   // Snapshot persistence. Save writes the merged logical image (every
   // live entity, sorted by id) atomically under the checksummed `wfsnap
   // store` envelope — a pure function of the store's contents, so shards

@@ -27,11 +27,11 @@ constexpr double kSizeTierFactor = 4.0;
 using ::wf::common::LowerInto;
 
 // Sorted-unique union of `add` into `acc` (both ascending).
-void MergePositions(const std::vector<uint32_t>& add,
+void MergePositions(std::span<const uint32_t> add,
                     std::vector<uint32_t>* acc) {
   if (add.empty()) return;
   if (acc->empty()) {
-    *acc = add;
+    acc->assign(add.begin(), add.end());
     return;
   }
   std::vector<uint32_t> merged;
@@ -50,6 +50,7 @@ void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
   freezes_counter_ = nullptr;
   compactions_counter_ = nullptr;
   compaction_bytes_counter_ = nullptr;
+  postings_scanned_counter_ = nullptr;
   freeze_us_ = nullptr;
   compaction_us_ = nullptr;
   if (metrics_ == nullptr) return;
@@ -59,6 +60,8 @@ void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
   compactions_counter_ = metrics_->GetCounter("index/compactions_total");
   compaction_bytes_counter_ =
       metrics_->GetCounter("index/compaction_bytes_rewritten_total");
+  postings_scanned_counter_ =
+      metrics_->GetCounter("index/postings_scanned_total");
   freeze_us_ = metrics_->GetHistogram(
       "index/freeze_us", obs::DefaultLatencyBoundsUs(), /*timing=*/true);
   compaction_us_ = metrics_->GetHistogram(
@@ -72,7 +75,7 @@ common::Status InvertedIndex::EnableSegments(
   if (segmented_) {
     return common::Status::FailedPrecondition("index segments already open");
   }
-  if (!docs_.empty() || !postings_.empty() || !fields_.empty()) {
+  if (!docs_.empty() || !postings_.lists.empty() || !fields_.lists.empty()) {
     return common::Status::FailedPrecondition(
         "delta tier must be empty when opening index segments");
   }
@@ -123,6 +126,7 @@ common::Status InvertedIndex::EnableSegments(
     std::filesystem::remove(orphan, ec);
   }
   segmented_ = true;
+  live_vocabulary_size_.reset();
   UpdateGaugesLocked();
   return common::Status::Ok();
 }
@@ -149,6 +153,35 @@ common::Status InvertedIndex::Freeze() {
   return compacted;
 }
 
+template <typename Entry>
+void InvertedIndex::DeltaLists<Entry>::Push(typename Map::iterator list,
+                                            Entry entry) {
+  std::vector<Ref>& refs = forward[entry.doc];
+  entry.slot = static_cast<uint32_t>(refs.size());
+  refs.push_back(Ref{list, static_cast<uint32_t>(list->second.size())});
+  list->second.push_back(entry);
+}
+
+template <typename Entry>
+size_t InvertedIndex::DeltaLists<Entry>::Drop(uint32_t doc) {
+  std::vector<Ref>& refs = forward[doc];
+  for (const Ref& ref : refs) {
+    std::vector<Entry>& list = ref.list->second;
+    if (ref.at + 1 != list.size()) {
+      // Swap-remove: the moved entry may be another of this doc's (a field
+      // can hold several of its values), whose ref is then still ahead.
+      Entry& moved = list[ref.at];
+      moved = std::move(list.back());
+      forward[moved.doc][moved.slot].at = ref.at;
+    }
+    list.pop_back();
+    if (list.empty()) lists.erase(ref.list);
+  }
+  const size_t dropped = refs.size();
+  refs.clear();
+  return dropped;
+}
+
 uint32_t InvertedIndex::InternDoc(const std::string& doc_id) {
   auto it = doc_ids_.find(doc_id);
   if (it != doc_ids_.end()) return it->second;
@@ -156,7 +189,22 @@ uint32_t InvertedIndex::InternDoc(const std::string& doc_id) {
   docs_.push_back(doc_id);
   doc_ids_.emplace(doc_id, ord);
   delta_full_.push_back(false);
+  postings_.forward.emplace_back();
+  fields_.forward.emplace_back();
+  positions_.emplace_back();
   return ord;
+}
+
+void InvertedIndex::CountScanned(size_t entries) {
+  if (entries > 0 && postings_scanned_counter_ != nullptr) {
+    postings_scanned_counter_->Add(entries);
+  }
+}
+
+std::span<const uint32_t> InvertedIndex::PositionsLocked(
+    const Posting& p) const {
+  return std::span<const uint32_t>(positions_[p.doc]).subspan(p.offset,
+                                                              p.count);
 }
 
 void InvertedIndex::IndexEntity(const Entity& entity) {
@@ -171,51 +219,64 @@ void InvertedIndex::IndexEntity(const Entity& entity,
   // The delta now holds the doc's complete postings: at query and freeze
   // time this version shadows every frozen tier.
   delta_full_[ord] = true;
+  live_vocabulary_size_.reset();
 
-  // Drop any previous delta postings for this doc (re-index).
-  for (auto& [term, list] : postings_) {
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [ord](const Posting& p) { return p.doc == ord; }),
-               list.end());
-  }
+  // Drop the doc's previous delta entries (re-index, or incremental
+  // touches); a doc new to the delta has none.
+  size_t scanned = postings_.Drop(ord) + fields_.Drop(ord);
 
-  // One reused lowercase buffer for the whole sweep; `current` keys view
-  // into postings_ map keys, which std::map keeps stable.
+  // Room for a posting per token, trimmed to fit once the doc is in: the
+  // forward list lives as long as the doc stays in the delta.
+  postings_.forward[ord].reserve(tokens.size() +
+                                 entity.concept_tokens().size());
+
+  // Pass 1: one posting per distinct term, counting its positions. This
+  // call's postings sit last in their lists (the doc's old ones are gone),
+  // so a repeated term finds its posting at the back.
   std::string lower;
-  std::unordered_map<std::string_view, Posting*> current;
-  current.reserve(tokens.size());
+  std::vector<Posting*> posting_at(tokens.size(), nullptr);
   for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
     if (tokens[pos].kind != text::TokenKind::kWord &&
         tokens[pos].kind != text::TokenKind::kNumber) {
       continue;
     }
     LowerInto(tokens[pos].text, &lower);
-    Posting* p;
-    auto it = current.find(std::string_view(lower));
-    if (it == current.end()) {
-      auto [pit, inserted] = postings_.try_emplace(lower);
-      (void)inserted;
-      pit->second.push_back(Posting{ord, {}});
-      p = &pit->second.back();
-      current.emplace(std::string_view(pit->first), p);
-    } else {
-      p = it->second;
+    auto list = postings_.lists.try_emplace(lower).first;
+    scanned += list->second.empty() ? 0 : 1;
+    if (list->second.empty() || list->second.back().doc != ord) {
+      postings_.Push(list, Posting{.doc = ord});
     }
-    p->positions.push_back(pos);
+    posting_at[pos] = &list->second.back();
+    ++posting_at[pos]->count;
+  }
+  // Pass 2: lay the positions out contiguously per posting in the doc's
+  // positions_ array.
+  uint32_t offset = 0;
+  for (const auto& ref : postings_.forward[ord]) {
+    Posting& p = ref.list->second[ref.at];
+    p.offset = offset;
+    offset += p.count;
+    p.count = 0;  // refilled below
+  }
+  std::vector<uint32_t>& positions = positions_[ord];
+  positions.assign(offset, 0);
+  for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
+    if (Posting* p = posting_at[pos]) positions[p->offset + p->count++] = pos;
   }
   for (const std::string& concept_token : entity.concept_tokens()) {
-    AddConceptPosting(concept_token, ord, &lower);
+    LowerInto(concept_token, &lower);
+    auto pit = postings_.lists.try_emplace(lower).first;
+    // As above, a duplicate can only be the list's last posting.
+    if (!pit->second.empty()) {
+      ++scanned;
+      if (pit->second.back().doc == ord) continue;
+    }
+    postings_.Push(pit, Posting{.doc = ord});
   }
+  postings_.forward[ord].shrink_to_fit();
+  CountScanned(scanned);
 
-  // Numeric/date fields feed the range index (old values dropped on
-  // re-index).
-  for (auto& [field, values] : fields_) {
-    values.erase(std::remove_if(values.begin(), values.end(),
-                                [ord](const auto& pair) {
-                                  return pair.second == ord;
-                                }),
-                 values.end());
-  }
+  // Numeric/date fields feed the range index.
   for (const auto& [field, value] : entity.fields()) {
     if (value.empty()) continue;
     if (field == "date") {
@@ -228,40 +289,50 @@ void InvertedIndex::IndexEntity(const Entity& entity,
         double d = parts.size() >= 3
                        ? std::strtod(parts[2].c_str(), &end)
                        : 1.0;
-        fields_[field].emplace_back(y * 10000 + m * 100 + d, ord);
+        AddFieldValueLocked(field, y * 10000 + m * 100 + d, ord);
         continue;
       }
     }
     char* end = nullptr;
     double v = std::strtod(value.c_str(), &end);
     if (end != nullptr && *end == '\0' && end != value.c_str()) {
-      fields_[field].emplace_back(v, ord);
+      AddFieldValueLocked(field, v, ord);
     }
   }
 }
 
-void InvertedIndex::AddConceptPosting(std::string_view term, uint32_t ord,
-                                      std::string* lower) {
-  LowerInto(term, lower);
-  auto [it, inserted] = postings_.try_emplace(*lower);
-  (void)inserted;
-  for (const Posting& p : it->second) {
-    if (p.doc == ord) return;
-  }
-  it->second.push_back(Posting{ord, {}});
+void InvertedIndex::AddFieldValueLocked(const std::string& field,
+                                        double value, uint32_t ord) {
+  fields_.Push(fields_.lists.try_emplace(field).first,
+               FieldValue{.value = value, .doc = ord});
 }
 
 void InvertedIndex::AddConceptToken(const std::string& doc_id,
                                     const std::string& token) {
   common::MutexLock lock(mu_);
+  const uint32_t ord = InternDoc(doc_id);
+  live_vocabulary_size_.reset();
   std::string lower;
-  AddConceptPosting(token, InternDoc(doc_id), &lower);
+  LowerInto(token, &lower);
+  auto list = postings_.lists.try_emplace(lower).first;
+  // The duplicate check reads the doc's own forward list, not the term's
+  // posting list.
+  const auto& refs = postings_.forward[ord];
+  auto dup = std::find_if(refs.begin(), refs.end(), [&list](const auto& ref) {
+    return ref.list == list;
+  });
+  if (dup == refs.end()) {
+    CountScanned(refs.size());
+    postings_.Push(list, Posting{.doc = ord});
+  } else {
+    CountScanned(static_cast<size_t>(dup - refs.begin()) + 1);
+  }
 }
 
 void InvertedIndex::AddFieldValue(const std::string& doc_id,
                                   const std::string& field, double value) {
   common::MutexLock lock(mu_);
-  fields_[field].emplace_back(value, InternDoc(doc_id));
+  AddFieldValueLocked(field, value, InternDoc(doc_id));
 }
 
 // --- Tier merging -----------------------------------------------------------
@@ -309,12 +380,12 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
       MergePositions(tp.positions, &acc[doc_id]);
     }
   }
-  auto it = postings_.find(lower_term);
-  if (it != postings_.end()) {
+  auto it = postings_.lists.find(lower_term);
+  if (it != postings_.lists.end()) {
     // The delta is the newest tier: never shadowed. operator[] records
     // presence even for position-less concept postings.
     for (const Posting& p : it->second) {
-      MergePositions(p.positions, &acc[docs_[p.doc]]);
+      MergePositions(PositionsLocked(p), &acc[docs_[p.doc]]);
     }
   }
   return acc;
@@ -323,8 +394,9 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
 std::vector<std::string> InvertedIndex::MergedVocabularyLocked(
     const std::string& prefix) const {
   std::set<std::string> terms;
-  for (auto it = postings_.lower_bound(prefix);
-       it != postings_.end() && common::StartsWith(it->first, prefix); ++it) {
+  for (auto it = postings_.lists.lower_bound(prefix);
+       it != postings_.lists.end() && common::StartsWith(it->first, prefix);
+       ++it) {
     terms.insert(it->first);
   }
   for (const auto& reader : frozen_) {
@@ -340,6 +412,33 @@ std::vector<std::string> InvertedIndex::MergedVocabularyLocked(
     }
   }
   return std::vector<std::string>(terms.begin(), terms.end());
+}
+
+std::vector<std::string> InvertedIndex::LiveVocabularyLocked(
+    const std::string& prefix) const {
+  std::vector<std::string> out;
+  for (std::string& term : MergedVocabularyLocked(prefix)) {
+    // Delta lists are never empty, so a delta term is live. Otherwise its
+    // frozen lists are read newest first, up to the first posting no
+    // newer full version shadows.
+    bool live = postings_.lists.count(term) > 0;
+    for (size_t t = frozen_.size(); !live && t-- > 0;) {
+      const store::IndexSegmentReader::TermEntry* entry =
+          frozen_[t]->FindTerm(term);
+      if (entry == nullptr) continue;
+      auto postings_or = frozen_[t]->Postings(*entry);
+      WF_CHECK_OK(postings_or.status());  // checksummed at open
+      for (const store::TermPostings& tp : postings_or.value()) {
+        if (SealTierLocked(frozen_[t]->docs()[tp.doc_ord].id) <=
+            static_cast<int>(t)) {
+          live = true;
+          break;
+        }
+      }
+    }
+    if (live) out.push_back(std::move(term));
+  }
+  return out;
 }
 
 // --- Queries ----------------------------------------------------------------
@@ -470,10 +569,10 @@ std::vector<std::string> InvertedIndex::Range(const std::string& field,
       acc.insert(doc_id);
     }
   }
-  auto it = fields_.find(field);
-  if (it != fields_.end()) {
-    for (const auto& [value, ord] : it->second) {
-      if (value >= lo && value <= hi) acc.insert(docs_[ord]);
+  auto it = fields_.lists.find(field);
+  if (it != fields_.lists.end()) {
+    for (const FieldValue& fv : it->second) {
+      if (fv.value >= lo && fv.value <= hi) acc.insert(docs_[fv.doc]);
     }
   }
   return std::vector<std::string>(acc.begin(), acc.end());
@@ -502,20 +601,19 @@ size_t InvertedIndex::document_count() const {
 
 size_t InvertedIndex::vocabulary_size() const {
   common::MutexLock lock(mu_);
-  if (frozen_.empty()) return postings_.size();
-  return MergedVocabularyLocked("").size();
+  if (frozen_.empty()) return postings_.lists.size();
+  // Counting live terms decodes postings term by term, and the node stats
+  // service reports the count on every call: keep it until a write.
+  if (!live_vocabulary_size_.has_value()) {
+    live_vocabulary_size_ = LiveVocabularyLocked("").size();
+  }
+  return *live_vocabulary_size_;
 }
 
 std::vector<std::string> InvertedIndex::VocabularyWithPrefix(
     const std::string& prefix) const {
   common::MutexLock lock(mu_);
-  std::vector<std::string> out;
-  for (const std::string& term : MergedVocabularyLocked(ToLower(prefix))) {
-    // A delta term can hold an empty list after re-index eviction; it only
-    // counts if some tier still has live postings.
-    if (!MergedPostingsLocked(term).empty()) out.push_back(term);
-  }
-  return out;
+  return LiveVocabularyLocked(ToLower(prefix));
 }
 
 // --- Freeze / compaction ----------------------------------------------------
@@ -545,12 +643,13 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
         store::IndexDocEntry{docs_[order[new_ord]],
                              delta_full_[order[new_ord]]});
   }
-  for (const auto& [term, list] : postings_) {
-    if (list.empty()) continue;  // evicted by re-index; nothing to freeze
+  for (const auto& [term, list] : postings_.lists) {
     std::vector<store::TermPostings> tps;
     tps.reserve(list.size());
     for (const Posting& p : list) {
-      tps.push_back(store::TermPostings{remap[p.doc], p.positions});
+      const std::span<const uint32_t> positions = PositionsLocked(p);
+      tps.push_back(store::TermPostings{
+          remap[p.doc], {positions.begin(), positions.end()}});
     }
     std::sort(tps.begin(), tps.end(),
               [](const store::TermPostings& a, const store::TermPostings& b) {
@@ -558,12 +657,11 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
               });
     data.terms.emplace(term, std::move(tps));
   }
-  for (const auto& [field, values] : fields_) {
-    if (values.empty()) continue;
+  for (const auto& [field, values] : fields_.lists) {
     // Canonical field entries: (ordinal, value) sorted and deduplicated.
     std::set<std::pair<uint32_t, double>> canonical;
-    for (const auto& [value, ord] : values) {
-      canonical.emplace(remap[ord], value);
+    for (const FieldValue& fv : values) {
+      canonical.emplace(remap[fv.doc], fv.value);
     }
     std::vector<store::FieldValueEntry> entries;
     entries.reserve(canonical.size());
@@ -576,7 +674,7 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
 }
 
 common::Status InvertedIndex::FreezeLocked() {
-  if (docs_.empty() && postings_.empty() && fields_.empty()) {
+  if (docs_.empty() && postings_.lists.empty() && fields_.lists.empty()) {
     return common::Status::Ok();
   }
   obs::ScopedTimer timer(freeze_us_);
@@ -601,8 +699,9 @@ common::Status InvertedIndex::FreezeLocked() {
   docs_.clear();
   doc_ids_.clear();
   delta_full_.clear();
-  postings_.clear();
-  fields_.clear();
+  postings_ = {};
+  fields_ = {};
+  positions_.clear();
   if (freezes_counter_ != nullptr) freezes_counter_->Add();
   return common::Status::Ok();
 }
@@ -784,7 +883,7 @@ common::Status InvertedIndex::Save(
     out << "\n";
   }
   std::set<std::string> field_names;
-  for (const auto& [field, values] : fields_) field_names.insert(field);
+  for (const auto& [field, values] : fields_.lists) field_names.insert(field);
   for (const auto& reader : frozen_) {
     for (const auto& [field, entries] : reader->fields()) {
       field_names.insert(field);
@@ -801,10 +900,10 @@ common::Status InvertedIndex::Save(
         entries.emplace(ord_of[doc_id], entry.value);
       }
     }
-    auto it = fields_.find(field);
-    if (it != fields_.end()) {
-      for (const auto& [value, ord] : it->second) {
-        entries.emplace(ord_of[docs_[ord]], value);
+    auto it = fields_.lists.find(field);
+    if (it != fields_.lists.end()) {
+      for (const FieldValue& fv : it->second) {
+        entries.emplace(ord_of[docs_[fv.doc]], fv.value);
       }
     }
     for (const auto& [ord, value] : entries) {
@@ -834,8 +933,9 @@ common::Status InvertedIndex::Load(const std::string& path) {
   }
   std::vector<std::string> docs;
   std::unordered_map<std::string, uint32_t> doc_ids;
-  std::map<std::string, std::vector<Posting>> postings;
-  std::map<std::string, std::vector<std::pair<double, uint32_t>>> fields;
+  DeltaLists<Posting> postings;
+  DeltaLists<FieldValue> fields;
+  std::vector<std::vector<uint32_t>> positions;
 
   std::string line;
   while (std::getline(in, line)) {
@@ -849,8 +949,12 @@ common::Status InvertedIndex::Load(const std::string& path) {
       }
       docs.push_back(UnescapeField(parts[2]));
       doc_ids[docs.back()] = static_cast<uint32_t>(ord);
+      postings.forward.emplace_back();
+      fields.forward.emplace_back();
+      positions.emplace_back();
     } else if (parts[0] == "term" && parts.size() >= 2) {
-      std::vector<Posting>& list = postings[UnescapeField(parts[1])];
+      if (parts.size() == 2) continue;  // no postings: no list
+      auto list = postings.lists.try_emplace(UnescapeField(parts[1])).first;
       for (size_t i = 2; i < parts.size(); ++i) {
         size_t colon = parts[i].find(':');
         if (colon == std::string::npos) {
@@ -862,19 +966,26 @@ common::Status InvertedIndex::Load(const std::string& path) {
         if (p.doc >= docs.size()) {
           return common::Status::Corruption("posting names unknown doc");
         }
+        std::vector<uint32_t>& doc_positions = positions[p.doc];
+        p.offset = static_cast<uint32_t>(doc_positions.size());
         std::string pos_list = parts[i].substr(colon + 1);
         if (!pos_list.empty()) {
           for (const std::string& pos : common::Split(pos_list, ",")) {
-            p.positions.push_back(
-                static_cast<uint32_t>(std::stoul(pos)));
+            doc_positions.push_back(static_cast<uint32_t>(std::stoul(pos)));
           }
         }
-        list.push_back(std::move(p));
+        p.count = static_cast<uint32_t>(doc_positions.size()) - p.offset;
+        postings.Push(list, p);
       }
     } else if (parts[0] == "field" && parts.size() == 4) {
-      fields[UnescapeField(parts[1])].emplace_back(
-          std::strtod(parts[2].c_str(), nullptr),
-          static_cast<uint32_t>(std::stoul(parts[3])));
+      FieldValue fv;
+      fv.value = std::strtod(parts[2].c_str(), nullptr);
+      fv.doc = static_cast<uint32_t>(std::stoul(parts[3]));
+      if (fv.doc >= docs.size()) {
+        return common::Status::Corruption("field value names unknown doc");
+      }
+      fields.Push(fields.lists.try_emplace(UnescapeField(parts[1])).first,
+                  fv);
     } else {
       return common::Status::Corruption("unknown index record: " + line);
     }
@@ -884,8 +995,11 @@ common::Status InvertedIndex::Load(const std::string& path) {
   doc_ids_ = std::move(doc_ids);
   // A loaded snapshot is the complete image of each doc.
   delta_full_.assign(docs_.size(), true);
+  // Moving a std::map keeps iterators to its nodes, which the forward
+  // lists hold, valid.
   postings_ = std::move(postings);
   fields_ = std::move(fields);
+  positions_ = std::move(positions);
   return common::Status::Ok();
 }
 

@@ -1,5 +1,7 @@
 #include "platform/miner_framework.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -53,10 +55,6 @@ void MinerPipeline::ClearQuarantines() {
     stats.quarantined = false;
     stats.consecutive_failures = 0;
   }
-}
-
-void MinerPipeline::ProcessStore(DataStore& store) {
-  ProcessStore(store, nullptr);
 }
 
 MinerPipeline::Sweep MinerPipeline::BeginSweep(size_t entity_count) const {
@@ -143,32 +141,51 @@ void MinerPipeline::EndSweep(const Sweep& sweep) {
   }
 }
 
-void MinerPipeline::ProcessStore(DataStore& store, MineExecutor* executor) {
-  // Canonical sweep order: sorted by id. The snapshot decouples mining
-  // from the store lock, so a stats RPC mid-sweep never blocks on a slow
-  // miner, and the parallel path mutates only thread-private copies.
-  std::vector<Entity> entities = store.SnapshotSorted();
-  if (miners_.empty() || entities.empty()) return;
-
-  Sweep sweep = BeginSweep(entities.size());
-  auto run_entity = [&](size_t e) {
-    Status s = RunChain(sweep, e, entities[e]);
-    (void)s;  // recorded in the outcome matrix; failures never stop a sweep
-  };
-  if (executor != nullptr && sweep.all_parallel_safe) {
-    executor->ParallelFor(entities.size(), run_entity);
-  } else {
-    for (size_t e = 0; e < entities.size(); ++e) run_entity(e);
-  }
-
-  // Commit in canonical order on the calling thread: identical Upsert
-  // sequence at every thread count means identical store layout (and
-  // byte-identical snapshots). A failed segment flush mid-commit is a
-  // storage-layer fault the crash-recovery path owns; the commit itself
-  // must not be abandoned halfway or the sweep diverges from the contract.
-  for (Entity& entity : entities) {
-    common::Status upserted = store.Upsert(std::move(entity));
-    (void)upserted;
+void MinerPipeline::ProcessStore(DataStore& store, MineExecutor* executor,
+                                 const CommitFn& commit) {
+  if (miners_.empty() && commit == nullptr) return;
+  // Canonical sweep order: sorted by id. Ids come from the key indexes
+  // alone; records are read a window at a time, so the sweep holds one
+  // window of entities, not the shard, and no store lock while mining.
+  const std::vector<std::string> ids = store.Ids();
+  Sweep sweep = BeginSweep(ids.size());
+  const bool parallel = executor != nullptr && sweep.all_parallel_safe;
+  std::vector<Entity> window;
+  window.reserve(kSweepWindow);
+  size_t row = 0;  // the window's first row in the sweep matrices
+  for (size_t begin = 0; begin < ids.size(); begin += kSweepWindow) {
+    const size_t end = std::min(ids.size(), begin + kSweepWindow);
+    window.clear();
+    for (size_t i = begin; i < end; ++i) {
+      common::Result<Entity> entity = store.Get(ids[i]);
+      // Deleted since Ids(): nothing left to mine. Any other failure is a
+      // record this process wrote that no longer reads back.
+      if (entity.status().code() == common::StatusCode::kNotFound) continue;
+      WF_CHECK_OK(entity.status());
+      window.push_back(std::move(entity).value());
+    }
+    auto run_entity = [&](size_t k) {
+      Status s = RunChain(sweep, row + k, window[k]);
+      (void)s;  // recorded in the outcome matrix; failures never stop a sweep
+    };
+    if (parallel) {
+      executor->ParallelFor(window.size(), run_entity);
+    } else {
+      for (size_t k = 0; k < window.size(); ++k) run_entity(k);
+    }
+    // Commit in canonical order on the calling thread: identical callback
+    // and Upsert sequences at every thread count mean an identical index
+    // and store layout (and byte-identical snapshots). A failed segment
+    // flush mid-commit is a storage-layer fault the crash-recovery path
+    // owns; the commit itself must not be abandoned halfway or the sweep
+    // diverges from the contract.
+    for (Entity& entity : window) {
+      if (commit != nullptr) commit(entity);
+      if (miners_.empty()) continue;
+      common::Status upserted = store.Upsert(std::move(entity));
+      (void)upserted;
+    }
+    row += window.size();
   }
   EndSweep(sweep);
 }

@@ -2,6 +2,7 @@
 #define WF_PLATFORM_MINER_FRAMEWORK_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,15 +84,18 @@ class CorpusMiner {
 //
 // Determinism contract for ProcessStore (DESIGN.md §10): the sweep is a
 // pure function of (store contents, pipeline configuration), independent
-// of thread count and scheduling. Entities are snapshotted in sorted-id
-// order, each entity's full miner chain runs on exactly one thread (so
-// per-entity effects like concept-token order are chain-ordered), results
-// are committed back in sorted-id order on the calling thread, and failure
-// streaks/quarantine trips are replayed in that same canonical order.
-// Quarantine is evaluated at sweep boundaries: miners quarantined when the
-// sweep starts are skipped throughout; a streak that crosses the threshold
-// during the sweep trips quarantine for subsequent sweeps. ProcessEntity is
-// the one-entity sweep, so a quarantine it trips applies from the next call.
+// of thread count and scheduling. It reads each record once, in windows of
+// kSweepWindow sorted ids. Each entity's full miner chain runs on exactly
+// one thread (so per-entity effects like concept-token order are
+// chain-ordered). When a window is mined, the calling thread hands its
+// entities to the commit callback and Upserts them, in sorted-id order, so
+// the callback and the store see one canonical sequence at every thread
+// count. Failure streaks and quarantine trips are replayed in that same
+// order when the sweep ends. Quarantine is evaluated at sweep boundaries:
+// miners quarantined when the sweep starts are skipped throughout; a
+// streak that crosses the threshold during the sweep trips quarantine for
+// subsequent sweeps. ProcessEntity is the one-entity sweep, so a
+// quarantine it trips applies from the next call.
 class MinerPipeline {
  public:
   struct MinerStats {
@@ -107,6 +111,13 @@ class MinerPipeline {
   // per pipeline with SetQuarantineThreshold, 0 disables).
   static constexpr size_t kDefaultQuarantineThreshold = 16;
 
+  // Entities ProcessStore reads and mines per window: what bounds the
+  // sweep's working set, whatever the shard size.
+  static constexpr size_t kSweepWindow = 256;
+
+  // Receives each swept entity, mined, just before it is committed.
+  using CommitFn = std::function<void(const Entity&)>;
+
   void AddMiner(std::unique_ptr<EntityMiner> miner);
 
   // Attaches a metrics registry: per-miner stage timings, entity/failure
@@ -121,15 +132,15 @@ class MinerPipeline {
   // (and returns) the first failure; quarantined miners are skipped.
   common::Status ProcessEntity(Entity& entity);
 
-  // Runs the pipeline over every entity in the store (sequentially, but
-  // under the deterministic sweep contract above); failures are counted
-  // but do not stop the sweep.
-  void ProcessStore(DataStore& store);
-  // Same sweep with per-entity work scheduled on `executor` when every
-  // active miner is parallel_safe() (sequential fallback otherwise).
-  // Output is byte-identical to the sequential sweep. nullptr executor ==
-  // ProcessStore(store).
-  void ProcessStore(DataStore& store, MineExecutor* executor);
+  // Runs the pipeline over every entity in the store under the
+  // deterministic sweep contract above; failures are counted but do not
+  // stop the sweep. Per-entity work is scheduled on `executor` when every
+  // active miner is parallel_safe() (sequential otherwise, and when
+  // `executor` is null), with byte-identical output either way. Each
+  // entity goes to `commit` (if set) before its Upsert; with no miners
+  // the sweep only feeds `commit` and leaves the store as it is.
+  void ProcessStore(DataStore& store, MineExecutor* executor = nullptr,
+                    const CommitFn& commit = nullptr);
 
   // Safe to call while ProcessEntity/ProcessStore run on another thread
   // (e.g. a stats RPC during a mining sweep); returns a consistent copy.

@@ -53,7 +53,9 @@ std::string Scrub(const std::string& in, bool keep_comments = false) {
                                in[i - 1] != '_'))) {
           size_t paren = in.find('(', i + 2);
           if (paren == std::string::npos) break;  // malformed; give up
-          raw_delim = ")" + in.substr(i + 2, paren - i - 2) + "\"";
+          raw_delim = ")";
+          raw_delim.append(in, i + 2, paren - i - 2);
+          raw_delim += '"';
           state = ScrubState::kRawString;
           i = paren;  // keep prefix; contents get blanked below
         } else if (c == '"') {

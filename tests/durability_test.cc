@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "platform/cluster.h"
 #include "platform/entity.h"
@@ -415,12 +416,12 @@ TEST(ClusterNodeDurabilityTest, RecoverReplaysWalOnTopOfCheckpoint) {
     ClusterNode node(0);
     ASSERT_TRUE(node.EnableDurability(dir.path()).ok());
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(node.Ingest(MakeEntity("e" + std::to_string(i))).ok());
+      ASSERT_TRUE(node.Ingest(MakeEntity(common::StrFormat("e%d", i))).ok());
     }
     node.MineAndIndex();  // so the index snapshot covers e0..e2
     ASSERT_TRUE(node.Checkpoint().ok());  // e0..e2 now in the snapshot
     for (int i = 3; i < 5; ++i) {
-      ASSERT_TRUE(node.Ingest(MakeEntity("e" + std::to_string(i))).ok());
+      ASSERT_TRUE(node.Ingest(MakeEntity(common::StrFormat("e%d", i))).ok());
     }
     // e3, e4 live only in the WAL; the node dies here.
   }
@@ -429,7 +430,7 @@ TEST(ClusterNodeDurabilityTest, RecoverReplaysWalOnTopOfCheckpoint) {
   ASSERT_TRUE(revived.Recover().ok());
   EXPECT_EQ(revived.store().size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(revived.store().Contains("e" + std::to_string(i)));
+    EXPECT_TRUE(revived.store().Contains(common::StrFormat("e%d", i)));
   }
   // Replayed entities are searchable without a re-mine.
   EXPECT_EQ(revived.index().Term("battery").size(), 5u);
@@ -484,7 +485,7 @@ TEST(ClusterNodeDurabilityTest, AutoCheckpointEveryNAppends) {
                                     /*checkpoint_every_appends=*/2)
                   .ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(node.Ingest(MakeEntity("e" + std::to_string(i))).ok());
+    ASSERT_TRUE(node.Ingest(MakeEntity(common::StrFormat("e%d", i))).ok());
   }
   // Appends 2 and 4 triggered checkpoints (plus the one Recover would do);
   // only e4 is still WAL-resident.

@@ -15,6 +15,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "tests/json_checker.h"
 #include "obs/metrics.h"
@@ -292,8 +293,8 @@ TEST(MetricsSnapshotTest, JsonExportIsWellFormedIncludingNastyNames) {
 
   // Escaping handles everything a string attribute could carry.
   EXPECT_EQ(JsonEscape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_TRUE(JsonChecker::Valid("\"" + JsonEscape(std::string(1, '\x01')) +
-                                 "\""));
+  EXPECT_TRUE(JsonChecker::Valid(common::StrFormat(
+      "\"%s\"", JsonEscape(std::string(1, '\x01')).c_str())));
 }
 
 // --- Concurrency (the TSan target) ------------------------------------------

@@ -12,6 +12,8 @@
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "corpus/domain.h"
+#include "corpus/web_gen.h"
 #include "gtest/gtest.h"
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
@@ -369,6 +371,75 @@ TEST(ClusterParallelMiningTest, MineAndIndexAllIsThreadCountIndependent) {
   for (size_t threads : {1, 2, 4, 8}) {
     EXPECT_EQ(common::Fnv1a64(fingerprint(threads)), kClusterGolden)
         << "threads=" << threads;
+  }
+}
+
+// 1,200 seeded petroleum + pharma web pages: enough that each shard of a
+// 2-node cluster spans several sweep windows.
+void IngestWebCorpus(Cluster* cluster) {
+  for (const corpus::DomainVocab* domain :
+       {&corpus::PetroleumDomain(), &corpus::PharmaDomain()}) {
+    for (const corpus::GeneratedDoc& d : corpus::GenerateWebDocs(
+             *domain, 600, 4242, corpus::WebGenOptions{})) {
+      Entity e(d.id, "crawl");
+      e.SetBody(d.body);
+      EXPECT_TRUE(cluster->Ingest(std::move(e)).ok()) << d.id;
+    }
+  }
+}
+
+// FNV-1a of ClusterFingerprint for the 2-node web-corpus cluster below,
+// captured while mining snapshotted the whole shard and indexing re-read
+// it in a second pass.
+constexpr uint64_t kMultiWindowGolden = 0x9f097a2c52864899ULL;
+
+TEST(ClusterParallelMiningTest,
+     MultiWindowShardsMatchGoldenAtEveryThreadCount) {
+  ScopedTempDir dir("multi_window");
+  for (size_t threads : {1, 2, 4, 8}) {
+    Cluster cluster(2);
+    DeploySentimentMiner(&cluster);
+    cluster.ConfigureMining(MineExecutorOptions{.threads = threads});
+    IngestWebCorpus(&cluster);
+    for (size_t i = 0; i < cluster.node_count(); ++i) {
+      // The premise: every shard spans at least three sweep windows.
+      ASSERT_GT(cluster.node(i).store().size(),
+                2 * MinerPipeline::kSweepWindow)
+          << "node " << i;
+    }
+    cluster.MineAndIndexAll();
+    EXPECT_EQ(common::Fnv1a64(ClusterFingerprint(
+                  &cluster, dir, common::StrFormat("t%zu", threads))),
+              kMultiWindowGolden)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ClusterParallelMiningTest, SecondSweepLeavesIndexBytesUnchanged) {
+  // Re-indexing every document over its own delta postings (no checkpoint
+  // between the sweeps) must reproduce the index exactly.
+  ScopedTempDir dir("reindex");
+  Cluster cluster(2);
+  DeploySentimentMiner(&cluster);
+  IngestWebCorpus(&cluster);
+  auto index_bytes = [&](const std::string& tag) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < cluster.node_count(); ++i) {
+      const std::string path =
+          dir.File(common::StrFormat("%s-n%zu.idx", tag.c_str(), i));
+      EXPECT_TRUE(cluster.node(i).index().Save(path).ok());
+      out.push_back(ReadAll(path));
+    }
+    return out;
+  };
+  cluster.MineAndIndexAll();
+  const std::vector<std::string> first = index_bytes("first");
+  cluster.MineAndIndexAll();
+  const std::vector<std::string> second = index_bytes("second");
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_FALSE(first[i].empty()) << "node " << i;
+    EXPECT_EQ(first[i], second[i]) << "node " << i;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "common/string_util.h"
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
 #include "platform/cluster.h"
@@ -91,7 +92,7 @@ TEST(DuplicateDetectionTest, ThresholdControlsSensitivity) {
 TEST(DuplicateDetectionTest, DeterministicAcrossRuns) {
   DataStore store;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store.Put(Doc("d" + std::to_string(i),
+    ASSERT_TRUE(store.Put(Doc(common::StrFormat("d%d", i),
                               "Shared syndicated body of text that is "
                               "identical across all of these pages."))
                     .ok());

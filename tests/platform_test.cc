@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -8,6 +9,11 @@
 #include "common/durable_file.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "corpus/domain.h"
+#include "corpus/web_gen.h"
+#include "lexicon/pattern_db.h"
+#include "lexicon/sentiment_lexicon.h"
+#include "obs/metrics.h"
 #include "platform/cluster.h"
 #include "platform/data_store.h"
 #include "platform/entity.h"
@@ -115,7 +121,7 @@ TEST(DataStoreTest, UpdateInPlace) {
 TEST(DataStoreTest, ForEachVisitsAll) {
   DataStore store;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(store.Put(MakeEntity("e" + std::to_string(i))).ok());
+    ASSERT_TRUE(store.Put(MakeEntity(common::StrFormat("e%d", i))).ok());
   }
   size_t visits = 0;
   store.ForEach([&visits](const Entity&) { ++visits; });
@@ -127,7 +133,7 @@ TEST(DataStoreTest, SaveLoadRoundTrip) {
   std::string path = "/tmp/wf_datastore_test.wfs";
   DataStore store;
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(store.Put(MakeEntity("e" + std::to_string(i))).ok());
+    ASSERT_TRUE(store.Put(MakeEntity(common::StrFormat("e%d", i))).ok());
   }
   ASSERT_TRUE(store.Save(path).ok());
 
@@ -289,6 +295,20 @@ TEST_F(IndexTest, ReindexReplacesPostings) {
   EXPECT_EQ(index_.Term("completely"), (std::vector<std::string>{"a"}));
 }
 
+TEST(IndexVocabularyTest, ReindexDropsTermsTheDocNoLongerHas) {
+  InvertedIndex index;
+  Entity a("doc-a", "t");
+  a.SetBody("alpha beta");
+  index.IndexEntity(a);
+  EXPECT_EQ(index.vocabulary_size(), 2u);
+  a.SetBody("beta");
+  index.IndexEntity(a);
+  EXPECT_EQ(index.vocabulary_size(), 1u);
+  EXPECT_TRUE(index.Term("alpha").empty());
+  EXPECT_TRUE(index.VocabularyWithPrefix("al").empty());
+  EXPECT_EQ(index.VocabularyWithPrefix(""), (std::vector<std::string>{"beta"}));
+}
+
 TEST_F(IndexTest, Stats) {
   EXPECT_EQ(index_.document_count(), 3u);
   EXPECT_GT(index_.vocabulary_size(), 10u);
@@ -358,6 +378,59 @@ TEST_F(IndexTest, LoadRejectsCorruptSnapshot) {
   EXPECT_EQ(poisoned.Load("/tmp/definitely_not_here.wfi").code(),
             common::StatusCode::kIOError);
   std::filesystem::remove(path);
+}
+
+// --- Indexing work ----------------------------------------------------------------
+
+// Delta entries the index visits per entity (index/postings_scanned_total)
+// while indexing the first `n` pages of `mined` into a fresh index, then
+// while re-indexing them: {first pass, second pass}.
+std::pair<double, double> ScannedPerEntity(const std::vector<Entity>& mined,
+                                           size_t n) {
+  obs::MetricsRegistry metrics;
+  InvertedIndex index;
+  index.AttachMetrics(&metrics);
+  auto scanned = [&metrics] {
+    return metrics.Snapshot().CounterValue("index/postings_scanned_total");
+  };
+  for (size_t i = 0; i < n; ++i) index.IndexEntity(mined[i]);
+  const uint64_t first = scanned();
+  for (size_t i = 0; i < n; ++i) index.IndexEntity(mined[i]);
+  const uint64_t second = scanned() - first;
+  return {static_cast<double>(first) / static_cast<double>(n),
+          static_cast<double>(second) / static_cast<double>(n)};
+}
+
+// A work count, not a timing: per-entity indexing work must not grow with
+// the corpus, whether a document is new to the delta or re-indexed.
+TEST(IndexWorkTest, ScannedEntriesPerEntityStayFlatFrom1kTo8k) {
+  const auto lexicon = lexicon::SentimentLexicon::Embedded();
+  const auto patterns = lexicon::PatternDatabase::Embedded();
+  AdHocSentimentMinerPlugin sentiment(&lexicon, &patterns);
+  TokenStatsMiner token_stats;
+  std::vector<Entity> mined;
+  for (const corpus::GeneratedDoc& d : corpus::GenerateWebDocs(
+           corpus::PetroleumDomain(), 8000, 77, corpus::WebGenOptions{})) {
+    Entity e(d.id, "crawl");
+    e.SetBody(d.body);
+    ASSERT_TRUE(sentiment.Process(e).ok());
+    ASSERT_TRUE(token_stats.Process(e).ok());
+    mined.push_back(std::move(e));
+  }
+  const auto [first_1k, second_1k] = ScannedPerEntity(mined, 1000);
+  std::printf("1000 docs: %.2f scanned/entity indexing, %.2f re-indexing\n",
+              first_1k, second_1k);
+  // Both passes do some work: duplicate checks on concept postings, and
+  // the re-index drops every old entry.
+  EXPECT_GT(first_1k, 0.0);
+  EXPECT_GT(second_1k, first_1k);
+  for (size_t n : {2000, 4000, 8000}) {
+    const auto [first, second] = ScannedPerEntity(mined, n);
+    std::printf("%zu docs: %.2f scanned/entity indexing, %.2f re-indexing\n",
+                n, first, second);
+    EXPECT_LE(first, 1.1 * first_1k) << n << " docs";
+    EXPECT_LE(second, 1.1 * second_1k) << n << " docs";
+  }
 }
 
 // --- VinciBus ----------------------------------------------------------------------
@@ -589,8 +662,8 @@ TEST(IngestTest, CrawlerFollowsLinksAndDedups) {
 TEST(IngestTest, CrawlerRespectsPageLimit) {
   std::map<std::string, CrawlerSimulator::Page> site;
   for (int i = 0; i < 10; ++i) {
-    site["p" + std::to_string(i)] = {
-        "body", {"p" + std::to_string((i + 1) % 10)}};
+    site[common::StrFormat("p%d", i)] = {
+        "body", {common::StrFormat("p%d", (i + 1) % 10)}};
   }
   CrawlerSimulator crawler(
       {"p0"},

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "platform/cluster.h"
 #include "platform/data_store.h"
@@ -176,9 +177,7 @@ TEST(LsmTreeTest, BloomSkipsSegmentProbesAndExportsCounters) {
   // segments that mostly cannot hold the key.
   for (int gen = 0; gen < 3; ++gen) {
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(
-          tree.Put("g" + std::to_string(gen) + "-" + std::to_string(i), "v")
-              .ok());
+      ASSERT_TRUE(tree.Put(common::StrFormat("g%d-%d", gen, i), "v").ok());
     }
     ASSERT_TRUE(tree.Flush().ok());
   }
@@ -303,13 +302,13 @@ TEST(LsmTreeTest, CompactionMergesRunsAndPreservesContent) {
   std::map<std::string, std::string> expect;
   for (int gen = 0; gen < 8; ++gen) {
     for (int i = 0; i < 10; ++i) {
-      std::string key = "k" + std::to_string((gen * 7 + i) % 40);
-      std::string value = "g" + std::to_string(gen);
+      std::string key = common::StrFormat("k%d", (gen * 7 + i) % 40);
+      std::string value = common::StrFormat("g%d", gen);
       ASSERT_TRUE(tree.Put(key, value).ok());
       expect[key] = value;
     }
     if (gen % 3 == 1) {
-      std::string key = "k" + std::to_string(gen);
+      std::string key = common::StrFormat("k%d", gen);
       if (expect.count(key)) {
         ASSERT_TRUE(tree.Delete(key).ok());
         expect.erase(key);
@@ -605,6 +604,25 @@ TEST(FrozenIndexTest, FrozenTiersSurviveReopen) {
   // Load is refused once the manifest owns disk state.
   EXPECT_EQ(re.Load(dir.File("whatever")).code(),
             common::StatusCode::kFailedPrecondition);
+}
+
+TEST(FrozenIndexTest, FullyShadowedFrozenTermsLeaveTheVocabulary) {
+  ScopedTempDir dir("frozen_vocab");
+  InvertedIndex idx;
+  ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx").ok());
+  idx.IndexEntity(ReviewEntity("d1", "alpha beta", 4.0));
+  ASSERT_TRUE(idx.Freeze().ok());
+  EXPECT_EQ(idx.vocabulary_size(), 2u);
+  // The delta's full version of d1 shadows the frozen "alpha" posting.
+  idx.IndexEntity(ReviewEntity("d1", "beta", 4.0));
+  EXPECT_EQ(idx.vocabulary_size(), 1u);
+  EXPECT_TRUE(idx.VocabularyWithPrefix("al").empty());
+  ASSERT_TRUE(idx.Freeze().ok());  // a layout change, not a content one
+  EXPECT_EQ(idx.vocabulary_size(), 1u);
+  idx.AddConceptToken("d2", "alpha");
+  EXPECT_EQ(idx.vocabulary_size(), 2u);
+  EXPECT_EQ(idx.VocabularyWithPrefix("al"),
+            (std::vector<std::string>{"alpha"}));
 }
 
 TEST(FrozenIndexTest, FreezeCrashAtEveryOpPreservesCommittedTiers) {
