@@ -25,7 +25,8 @@ int main() {
   using Clock = std::chrono::steady_clock;
   const uint64_t seed = bench::BenchSeed();
 
-  const std::string dir = "/tmp/wf_bench_storage";
+  // Segment files live under the working directory for the run.
+  const std::string dir = "wf_bench_storage";
 
   std::printf("%s", eval::Banner("Storage engine — LSM segment store at "
                                  "1x/10x/100x corpus scale")

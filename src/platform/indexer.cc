@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <numeric>
 #include <regex>
 #include <set>
@@ -18,11 +17,6 @@ namespace wf::platform {
 using ::wf::common::ToLower;
 
 namespace {
-
-// Size tiers for frozen-segment compaction; mirrors store::LsmTree.
-constexpr size_t kMaxTier = 16;
-constexpr uint64_t kTierBaseBytes = 4096;
-constexpr double kSizeTierFactor = 4.0;
 
 using ::wf::common::LowerInto;
 
@@ -41,91 +35,52 @@ void MergePositions(std::span<const uint32_t> add,
   acc->swap(merged);
 }
 
+// Compaction's merge: MergeIndexSegments over the run's logical contents.
+common::Status WriteMergedIndexSegment(
+    std::span<const std::unique_ptr<store::IndexSegmentReader>> inputs,
+    bool /*includes_oldest*/, const std::string& path,
+    common::StorageFaultInjector* injector) {
+  std::vector<store::IndexSegmentData> tiers;
+  tiers.reserve(inputs.size());
+  for (const std::unique_ptr<store::IndexSegmentReader>& input : inputs) {
+    WF_ASSIGN_OR_RETURN(store::IndexSegmentData data,
+                        store::LoadIndexSegmentData(*input));
+    tiers.push_back(std::move(data));
+  }
+  return store::WriteIndexSegmentFile(path, store::MergeIndexSegments(tiers),
+                                      injector, /*bytes_out=*/nullptr);
+}
+
 }  // namespace
 
 void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
+  common::MutexLock lock(mu_);
+  frozen_.AttachMetrics(metrics, "index");
   metrics_ = metrics;
   frozen_segments_gauge_ = nullptr;
   delta_docs_gauge_ = nullptr;
   freezes_counter_ = nullptr;
-  compactions_counter_ = nullptr;
-  compaction_bytes_counter_ = nullptr;
   postings_scanned_counter_ = nullptr;
   freeze_us_ = nullptr;
-  compaction_us_ = nullptr;
   if (metrics_ == nullptr) return;
   frozen_segments_gauge_ = metrics_->GetGauge("index/frozen_segments");
   delta_docs_gauge_ = metrics_->GetGauge("index/delta_docs");
   freezes_counter_ = metrics_->GetCounter("index/freezes_total");
-  compactions_counter_ = metrics_->GetCounter("index/compactions_total");
-  compaction_bytes_counter_ =
-      metrics_->GetCounter("index/compaction_bytes_rewritten_total");
   postings_scanned_counter_ =
       metrics_->GetCounter("index/postings_scanned_total");
   freeze_us_ = metrics_->GetHistogram(
       "index/freeze_us", obs::DefaultLatencyBoundsUs(), /*timing=*/true);
-  compaction_us_ = metrics_->GetHistogram(
-      "index/compaction_us", obs::DefaultLatencyBoundsUs(), /*timing=*/true);
 }
 
 common::Status InvertedIndex::EnableSegments(
     const std::string& dir, const std::string& base,
     common::StorageFaultInjector* injector, size_t compaction_fanout) {
   common::MutexLock lock(mu_);
-  if (segmented_) {
-    return common::Status::FailedPrecondition("index segments already open");
-  }
   if (!docs_.empty() || !postings_.lists.empty() || !fields_.lists.empty()) {
     return common::Status::FailedPrecondition(
         "delta tier must be empty when opening index segments");
   }
-  dir_ = dir;
-  base_ = base;
-  injector_ = injector;
-  compaction_fanout_ = compaction_fanout;
-  manifest_ = store::ManifestData{};
-  frozen_.clear();
-  const std::string manifest_path = ManifestPathLocked();
-  if (common::FileExists(manifest_path)) {
-    WF_ASSIGN_OR_RETURN(manifest_, store::LoadManifest(manifest_path));
-    frozen_.reserve(manifest_.segments.size());
-    for (const store::SegmentMeta& meta : manifest_.segments) {
-      WF_ASSIGN_OR_RETURN(std::unique_ptr<store::IndexSegmentReader> reader,
-                          store::IndexSegmentReader::Open(
-                              SegmentPathLocked(meta.id)));
-      frozen_.push_back(std::move(reader));
-    }
-  }
-  // Segment files the durable manifest never adopted (crash between write
-  // and swap) are garbage; so are stray .tmp files from an interrupted
-  // atomic write. Delete both so ids can be reused safely.
-  std::error_code ec;
-  std::vector<std::string> orphans;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!common::StartsWith(name, base_ + "-") &&
-        !common::StartsWith(name, base_ + ".")) {
-      continue;
-    }
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
-      orphans.push_back(entry.path().string());
-      continue;
-    }
-    if (name.size() > 6 && name.substr(name.size() - 6) == ".wfseg") {
-      bool adopted = false;
-      for (const store::SegmentMeta& meta : manifest_.segments) {
-        if (entry.path().string() == SegmentPathLocked(meta.id)) {
-          adopted = true;
-          break;
-        }
-      }
-      if (!adopted) orphans.push_back(entry.path().string());
-    }
-  }
-  for (const std::string& orphan : orphans) {
-    std::filesystem::remove(orphan, ec);
-  }
-  segmented_ = true;
+  WF_RETURN_IF_ERROR(frozen_.Open(dir, base, compaction_fanout, injector));
   live_vocabulary_size_.reset();
   UpdateGaugesLocked();
   return common::Status::Ok();
@@ -133,22 +88,22 @@ common::Status InvertedIndex::EnableSegments(
 
 bool InvertedIndex::segmented() const {
   common::MutexLock lock(mu_);
-  return segmented_;
+  return frozen_.is_open();
 }
 
 size_t InvertedIndex::frozen_segment_count() const {
   common::MutexLock lock(mu_);
-  return frozen_.size();
+  return frozen_.runs().size();
 }
 
 common::Status InvertedIndex::Freeze() {
   common::MutexLock lock(mu_);
-  if (!segmented_) {
+  if (!frozen_.is_open()) {
     return common::Status::FailedPrecondition(
         "ephemeral index cannot freeze (EnableSegments first)");
   }
   WF_RETURN_IF_ERROR(FreezeLocked());
-  common::Status compacted = MaybeCompactLocked();
+  common::Status compacted = frozen_.Compact(WriteMergedIndexSegment);
   UpdateGaugesLocked();
   return compacted;
 }
@@ -338,14 +293,15 @@ void InvertedIndex::AddFieldValue(const std::string& doc_id,
 // --- Tier merging -----------------------------------------------------------
 
 int InvertedIndex::SealTierLocked(const std::string& doc_id) const {
+  const auto& frozen = frozen_.runs();
   auto it = doc_ids_.find(doc_id);
   if (it != doc_ids_.end() && delta_full_[it->second]) {
-    return static_cast<int>(frozen_.size());
+    return static_cast<int>(frozen.size());
   }
-  for (int t = static_cast<int>(frozen_.size()) - 1; t >= 0; --t) {
-    int ord = frozen_[static_cast<size_t>(t)]->FindDoc(doc_id);
+  for (int t = static_cast<int>(frozen.size()) - 1; t >= 0; --t) {
+    int ord = frozen[static_cast<size_t>(t)]->FindDoc(doc_id);
     if (ord >= 0 &&
-        frozen_[static_cast<size_t>(t)]->docs()[static_cast<size_t>(ord)]
+        frozen[static_cast<size_t>(t)]->docs()[static_cast<size_t>(ord)]
             .full) {
       return t;
     }
@@ -355,6 +311,7 @@ int InvertedIndex::SealTierLocked(const std::string& doc_id) const {
 
 std::map<std::string, std::vector<uint32_t>>
 InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
+  const auto& frozen = frozen_.runs();
   std::map<std::string, std::vector<uint32_t>> acc;
   // Memoize seal lookups: one term often touches the same docs in several
   // tiers.
@@ -366,16 +323,16 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
     seal.emplace(doc_id, s);
     return s;
   };
-  for (size_t t = 0; t < frozen_.size(); ++t) {
+  for (size_t t = 0; t < frozen.size(); ++t) {
     const store::IndexSegmentReader::TermEntry* entry =
-        frozen_[t]->FindTerm(lower_term);
+        frozen[t]->FindTerm(lower_term);
     if (entry == nullptr) continue;
     // The segment verified its checksum at open, so a decode failure here
     // is a logic bug or an I/O fault mid-read, not query input.
-    auto postings_or = frozen_[t]->Postings(*entry);
+    auto postings_or = frozen[t]->Postings(*entry);
     WF_CHECK_OK(postings_or.status());
     for (const store::TermPostings& tp : postings_or.value()) {
-      const std::string& doc_id = frozen_[t]->docs()[tp.doc_ord].id;
+      const std::string& doc_id = frozen[t]->docs()[tp.doc_ord].id;
       if (seal_of(doc_id) > static_cast<int>(t)) continue;  // shadowed
       MergePositions(tp.positions, &acc[doc_id]);
     }
@@ -399,7 +356,7 @@ std::vector<std::string> InvertedIndex::MergedVocabularyLocked(
        ++it) {
     terms.insert(it->first);
   }
-  for (const auto& reader : frozen_) {
+  for (const auto& reader : frozen_.runs()) {
     const std::vector<store::IndexSegmentReader::TermEntry>& dict =
         reader->terms();
     auto lo = std::lower_bound(
@@ -416,20 +373,21 @@ std::vector<std::string> InvertedIndex::MergedVocabularyLocked(
 
 std::vector<std::string> InvertedIndex::LiveVocabularyLocked(
     const std::string& prefix) const {
+  const auto& frozen = frozen_.runs();
   std::vector<std::string> out;
   for (std::string& term : MergedVocabularyLocked(prefix)) {
     // Delta lists are never empty, so a delta term is live. Otherwise its
     // frozen lists are read newest first, up to the first posting no
     // newer full version shadows.
     bool live = postings_.lists.count(term) > 0;
-    for (size_t t = frozen_.size(); !live && t-- > 0;) {
+    for (size_t t = frozen.size(); !live && t-- > 0;) {
       const store::IndexSegmentReader::TermEntry* entry =
-          frozen_[t]->FindTerm(term);
+          frozen[t]->FindTerm(term);
       if (entry == nullptr) continue;
-      auto postings_or = frozen_[t]->Postings(*entry);
+      auto postings_or = frozen[t]->Postings(*entry);
       WF_CHECK_OK(postings_or.status());  // checksummed at open
       for (const store::TermPostings& tp : postings_or.value()) {
-        if (SealTierLocked(frozen_[t]->docs()[tp.doc_ord].id) <=
+        if (SealTierLocked(frozen[t]->docs()[tp.doc_ord].id) <=
             static_cast<int>(t)) {
           live = true;
           break;
@@ -557,14 +515,15 @@ std::vector<std::string> InvertedIndex::MatchRegex(
 
 std::vector<std::string> InvertedIndex::Range(const std::string& field,
                                               double lo, double hi) const {
+  const auto& frozen = frozen_.runs();
   common::MutexLock lock(mu_);
   std::set<std::string> acc;
-  for (size_t t = 0; t < frozen_.size(); ++t) {
-    auto fit = frozen_[t]->fields().find(field);
-    if (fit == frozen_[t]->fields().end()) continue;
+  for (size_t t = 0; t < frozen.size(); ++t) {
+    auto fit = frozen[t]->fields().find(field);
+    if (fit == frozen[t]->fields().end()) continue;
     for (const store::FieldValueEntry& entry : fit->second) {
       if (entry.value < lo || entry.value > hi) continue;
-      const std::string& doc_id = frozen_[t]->docs()[entry.doc_ord].id;
+      const std::string& doc_id = frozen[t]->docs()[entry.doc_ord].id;
       if (SealTierLocked(doc_id) > static_cast<int>(t)) continue;
       acc.insert(doc_id);
     }
@@ -589,9 +548,9 @@ size_t InvertedIndex::TermFrequency(const std::string& term,
 
 size_t InvertedIndex::document_count() const {
   common::MutexLock lock(mu_);
-  if (frozen_.empty()) return docs_.size();
+  if (frozen_.runs().empty()) return docs_.size();
   std::set<std::string> ids(docs_.begin(), docs_.end());
-  for (const auto& reader : frozen_) {
+  for (const auto& reader : frozen_.runs()) {
     for (const store::IndexDocEntry& doc : reader->docs()) {
       ids.insert(doc.id);
     }
@@ -601,7 +560,7 @@ size_t InvertedIndex::document_count() const {
 
 size_t InvertedIndex::vocabulary_size() const {
   common::MutexLock lock(mu_);
-  if (frozen_.empty()) return postings_.lists.size();
+  if (frozen_.runs().empty()) return postings_.lists.size();
   // Counting live terms decodes postings term by term, and the node stats
   // service reports the count on every call: keep it until a write.
   if (!live_vocabulary_size_.has_value()) {
@@ -617,15 +576,6 @@ std::vector<std::string> InvertedIndex::VocabularyWithPrefix(
 }
 
 // --- Freeze / compaction ----------------------------------------------------
-
-std::string InvertedIndex::SegmentPathLocked(uint64_t id) const {
-  return dir_ + "/" + base_ +
-         common::StrFormat("-%llu.wfseg", static_cast<unsigned long long>(id));
-}
-
-std::string InvertedIndex::ManifestPathLocked() const {
-  return dir_ + "/" + base_ + ".manifest";
-}
 
 store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
   store::IndexSegmentData data;
@@ -678,24 +628,15 @@ common::Status InvertedIndex::FreezeLocked() {
     return common::Status::Ok();
   }
   obs::ScopedTimer timer(freeze_us_);
-  store::IndexSegmentData data = BuildDeltaSegmentLocked();
-  const uint64_t id = manifest_.next_segment_id;
-  const std::string path = SegmentPathLocked(id);
-  uint64_t bytes = 0;
-  WF_RETURN_IF_ERROR(
-      store::WriteIndexSegmentFile(path, data, injector_, &bytes));
-  WF_ASSIGN_OR_RETURN(std::unique_ptr<store::IndexSegmentReader> reader,
-                      store::IndexSegmentReader::Open(path));
-  store::ManifestData next = manifest_;
-  next.next_segment_id = id + 1;
-  next.segments.push_back(store::SegmentMeta{id, data.docs.size(), bytes});
-  // The manifest swap is the commit point: fail here and the new segment
-  // is an orphan the next open deletes, while the delta tier (and the WAL
-  // above us) still holds everything — nothing is lost.
-  WF_RETURN_IF_ERROR(
-      store::SaveManifest(ManifestPathLocked(), next, injector_));
-  manifest_ = std::move(next);
-  frozen_.push_back(std::move(reader));
+  const store::IndexSegmentData data = BuildDeltaSegmentLocked();
+  // Fail before the manifest swap commits the segment and the delta tier
+  // (and the WAL above us) still holds everything: nothing is lost.
+  WF_RETURN_IF_ERROR(frozen_.Append(
+      [&data](const std::string& path,
+              common::StorageFaultInjector* injector) {
+        return store::WriteIndexSegmentFile(path, data, injector,
+                                            /*bytes_out=*/nullptr);
+      }));
   docs_.clear();
   doc_ids_.clear();
   delta_full_.clear();
@@ -706,101 +647,9 @@ common::Status InvertedIndex::FreezeLocked() {
   return common::Status::Ok();
 }
 
-size_t InvertedIndex::TierOfLocked(uint64_t bytes) const {
-  size_t tier = 0;
-  double ceiling = static_cast<double>(kTierBaseBytes);
-  while (static_cast<double>(bytes) > ceiling && tier < kMaxTier) {
-    ceiling *= kSizeTierFactor;
-    ++tier;
-  }
-  return tier;
-}
-
-common::Status InvertedIndex::MaybeCompactLocked() {
-  if (compaction_fanout_ < 2) return common::Status::Ok();
-  // Keep merging while any age-contiguous run of >= fanout segments sits
-  // in one size tier — the same policy as the store's LSM tree, so both
-  // halves of a checkpoint age at the same rate.
-  for (;;) {
-    size_t begin = frozen_.size();
-    size_t end = begin;
-    for (size_t i = 0; i < frozen_.size();) {
-      size_t tier = TierOfLocked(manifest_.segments[i].bytes);
-      size_t j = i + 1;
-      while (j < frozen_.size() &&
-             TierOfLocked(manifest_.segments[j].bytes) == tier) {
-        ++j;
-      }
-      if (j - i >= compaction_fanout_) {
-        begin = i;
-        end = j;
-        break;
-      }
-      i = j;
-    }
-    if (begin == end) return common::Status::Ok();
-    WF_RETURN_IF_ERROR(CompactRunLocked(begin, end));
-  }
-}
-
-common::Status InvertedIndex::CompactRunLocked(size_t begin, size_t end) {
-  obs::ScopedTimer timer(compaction_us_);
-  std::vector<store::IndexSegmentData> tiers;
-  tiers.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    WF_ASSIGN_OR_RETURN(store::IndexSegmentData data,
-                        store::LoadIndexSegmentData(*frozen_[i]));
-    tiers.push_back(std::move(data));
-  }
-  store::IndexSegmentData merged = store::MergeIndexSegments(tiers);
-  const uint64_t id = manifest_.next_segment_id;
-  const std::string path = SegmentPathLocked(id);
-  uint64_t bytes = 0;
-  WF_RETURN_IF_ERROR(
-      store::WriteIndexSegmentFile(path, merged, injector_, &bytes));
-  WF_ASSIGN_OR_RETURN(std::unique_ptr<store::IndexSegmentReader> reader,
-                      store::IndexSegmentReader::Open(path));
-
-  store::ManifestData next;
-  next.next_segment_id = id + 1;
-  uint64_t rewritten = 0;
-  for (size_t i = 0; i < begin; ++i) {
-    next.segments.push_back(manifest_.segments[i]);
-  }
-  next.segments.push_back(store::SegmentMeta{id, merged.docs.size(), bytes});
-  for (size_t i = end; i < frozen_.size(); ++i) {
-    next.segments.push_back(manifest_.segments[i]);
-  }
-  for (size_t i = begin; i < end; ++i) {
-    rewritten += manifest_.segments[i].bytes;
-  }
-  // Commit point: the old segments may be deleted only once the new
-  // manifest is durable (same discipline as the store's LSM compaction).
-  WF_RETURN_IF_ERROR(
-      store::SaveManifest(ManifestPathLocked(), next, injector_));
-  std::vector<std::string> stale;
-  for (size_t i = begin; i < end; ++i) {
-    stale.push_back(frozen_[i]->path());
-  }
-  frozen_.erase(frozen_.begin() + static_cast<long>(begin),
-                frozen_.begin() + static_cast<long>(end));
-  frozen_.insert(frozen_.begin() + static_cast<long>(begin),
-                 std::move(reader));
-  manifest_ = std::move(next);
-  std::error_code ec;
-  for (const std::string& path_to_remove : stale) {
-    std::filesystem::remove(path_to_remove, ec);
-  }
-  if (compactions_counter_ != nullptr) compactions_counter_->Add();
-  if (compaction_bytes_counter_ != nullptr) {
-    compaction_bytes_counter_->Add(rewritten);
-  }
-  return common::Status::Ok();
-}
-
 void InvertedIndex::UpdateGaugesLocked() const {
   if (frozen_segments_gauge_ != nullptr) {
-    frozen_segments_gauge_->Set(static_cast<int64_t>(frozen_.size()));
+    frozen_segments_gauge_->Set(static_cast<int64_t>(frozen_.runs().size()));
   }
   if (delta_docs_gauge_ != nullptr) {
     delta_docs_gauge_->Set(static_cast<int64_t>(docs_.size()));
@@ -844,6 +693,7 @@ std::string UnescapeField(const std::string& s) {
 
 common::Status InvertedIndex::Save(
     const std::string& path, common::StorageFaultInjector* injector) const {
+  const auto& frozen = frozen_.runs();
   common::MutexLock lock(mu_);
   // The canonical merged image: docs sorted by id with remapped ordinals,
   // terms sorted, postings in doc-ordinal order, fields sorted by
@@ -854,7 +704,7 @@ common::Status InvertedIndex::Save(
   std::ostringstream out;
   out << "wfidx 1\n";
   std::set<std::string> doc_set(docs_.begin(), docs_.end());
-  for (const auto& reader : frozen_) {
+  for (const auto& reader : frozen) {
     for (const store::IndexDocEntry& doc : reader->docs()) {
       doc_set.insert(doc.id);
     }
@@ -884,18 +734,18 @@ common::Status InvertedIndex::Save(
   }
   std::set<std::string> field_names;
   for (const auto& [field, values] : fields_.lists) field_names.insert(field);
-  for (const auto& reader : frozen_) {
+  for (const auto& reader : frozen) {
     for (const auto& [field, entries] : reader->fields()) {
       field_names.insert(field);
     }
   }
   for (const std::string& field : field_names) {
     std::set<std::pair<uint32_t, double>> entries;
-    for (size_t t = 0; t < frozen_.size(); ++t) {
-      auto fit = frozen_[t]->fields().find(field);
-      if (fit == frozen_[t]->fields().end()) continue;
+    for (size_t t = 0; t < frozen.size(); ++t) {
+      auto fit = frozen[t]->fields().find(field);
+      if (fit == frozen[t]->fields().end()) continue;
       for (const store::FieldValueEntry& entry : fit->second) {
-        const std::string& doc_id = frozen_[t]->docs()[entry.doc_ord].id;
+        const std::string& doc_id = frozen[t]->docs()[entry.doc_ord].id;
         if (SealTierLocked(doc_id) > static_cast<int>(t)) continue;
         entries.emplace(ord_of[doc_id], entry.value);
       }
@@ -918,7 +768,7 @@ common::Status InvertedIndex::Save(
 common::Status InvertedIndex::Load(const std::string& path) {
   {
     common::MutexLock lock(mu_);
-    if (segmented_) {
+    if (frozen_.is_open()) {
       return common::Status::FailedPrecondition(
           "segment-mode index loads from its manifest, not a snapshot");
     }

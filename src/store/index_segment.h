@@ -103,6 +103,8 @@ class IndexSegmentReader {
 
   const std::string& path() const { return path_; }
   uint64_t file_bytes() const { return file_bytes_; }
+  // Docs in the doc table: the run's record count in the manifest.
+  size_t record_count() const { return docs_.size(); }
 
  private:
   std::string path_;

@@ -1,9 +1,8 @@
 #include "store/lsm.h"
 
-#include <algorithm>
-#include <filesystem>
+#include <deque>
+#include <span>
 
-#include "common/durable_file.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/timer.h"
@@ -11,12 +10,55 @@
 namespace wf::store {
 
 namespace {
-constexpr size_t kMaxTier = 16;
-constexpr uint64_t kTierBaseBytes = 4096;
+
+// Compaction's merge: a k-way merge across the range, newest (last)
+// input winning each key. Tombstones are dropped only when the range
+// includes the oldest segment: otherwise a yet-older segment may still
+// hold the key, and dropping the tombstone would resurrect it.
+common::Status WriteMergedSegment(
+    std::span<const std::unique_ptr<SegmentReader>> inputs,
+    bool includes_oldest, const std::string& path,
+    common::StorageFaultInjector* injector) {
+  std::vector<size_t> pos(inputs.size(), 0);
+  std::deque<std::string> values;  // stable storage the records view
+  std::vector<SegmentRecord> records;
+  for (;;) {
+    const std::string* min_key = nullptr;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (pos[i] >= inputs[i]->entries().size()) continue;
+      const std::string& key = inputs[i]->entries()[pos[i]].key;
+      if (min_key == nullptr || key < *min_key) min_key = &key;
+    }
+    if (min_key == nullptr) break;
+    const std::string& key = *min_key;
+    // Every input holding the key advances; the newest one wins.
+    const SegmentReader* win_reader = nullptr;
+    const SegmentReader::Entry* win_entry = nullptr;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (pos[i] >= inputs[i]->entries().size()) continue;
+      const SegmentReader::Entry& entry = inputs[i]->entries()[pos[i]];
+      if (entry.key != key) continue;
+      win_reader = inputs[i].get();
+      win_entry = &entry;
+      ++pos[i];
+    }
+    if (win_entry->tombstone) {
+      if (!includes_oldest) records.push_back({win_entry->key, {}, true});
+      continue;
+    }
+    WF_ASSIGN_OR_RETURN(std::string value, win_reader->ReadValue(*win_entry));
+    values.push_back(std::move(value));
+    records.push_back({win_entry->key, values.back(), false});
+  }
+  return WriteSegmentFile(path, records, injector, /*bytes_out=*/nullptr);
+}
+
 }  // namespace
 
 void LsmTree::AttachMetrics(const obs::MetricsRegistry* metrics,
                             const std::string& prefix) {
+  common::MutexLock lock(mu_);
+  segments_.AttachMetrics(metrics, prefix);
   metrics_ = metrics;
   metric_prefix_ = prefix;
   m_ = MetricSet{};
@@ -27,17 +69,12 @@ void LsmTree::AttachMetrics(const obs::MetricsRegistry* metrics,
   m_.segments = metrics_->GetGauge(p + "/segments");
   m_.live_keys = metrics_->GetGauge(p + "/live_keys");
   m_.flushes = metrics_->GetCounter(p + "/flushes_total");
-  m_.compactions = metrics_->GetCounter(p + "/compactions_total");
-  m_.compaction_bytes_rewritten =
-      metrics_->GetCounter(p + "/compaction_bytes_rewritten_total");
   m_.gets = metrics_->GetCounter(p + "/gets_total");
   m_.read_tiers = metrics_->GetCounter(p + "/read_tiers_total");
   m_.bloom_hits = metrics_->GetCounter(p + "/bloom_hits_total");
   m_.bloom_misses = metrics_->GetCounter(p + "/bloom_misses_total");
   m_.flush_us = metrics_->GetHistogram(
       p + "/flush_us", obs::DefaultLatencyBoundsUs(), /*timing=*/true);
-  m_.compaction_us = metrics_->GetHistogram(
-      p + "/compaction_us", obs::DefaultLatencyBoundsUs(), /*timing=*/true);
 }
 
 common::Status LsmTree::OpenSegments(const std::string& dir,
@@ -45,64 +82,13 @@ common::Status LsmTree::OpenSegments(const std::string& dir,
                                      const LsmOptions& options,
                                      common::StorageFaultInjector* injector) {
   common::MutexLock lock(mu_);
-  if (segmented_) {
-    return common::Status::FailedPrecondition("segments already open");
-  }
   if (!mem_.empty()) {
     return common::Status::FailedPrecondition(
         "memtable must be empty when opening segments");
   }
-  dir_ = dir;
-  base_ = base;
+  WF_RETURN_IF_ERROR(
+      segments_.Open(dir, base, options.compaction_fanout, injector));
   options_ = options;
-  injector_ = injector;
-  manifest_ = ManifestData{};
-  segments_.clear();
-  const std::string manifest_path = dir_ + "/" + base_ + ".manifest";
-  if (common::FileExists(manifest_path)) {
-    WF_ASSIGN_OR_RETURN(manifest_, LoadManifest(manifest_path));
-    segments_.reserve(manifest_.segments.size());
-    for (const SegmentMeta& meta : manifest_.segments) {
-      WF_ASSIGN_OR_RETURN(
-          std::unique_ptr<SegmentReader> reader,
-          SegmentReader::Open(dir_ + "/" + base_ +
-                              common::StrFormat("-%llu.wfseg",
-                                                static_cast<unsigned long long>(
-                                                    meta.id))));
-      segments_.push_back(std::move(reader));
-    }
-  }
-  // A crash between segment write and manifest swap leaves files the
-  // manifest never adopted; they are garbage, not data — delete them so
-  // ids can be reused safely. Stray .tmp files from an interrupted atomic
-  // write go the same way.
-  std::error_code ec;
-  std::vector<std::string> orphans;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!common::StartsWith(name, base_ + "-") &&
-        !common::StartsWith(name, base_ + ".")) {
-      continue;
-    }
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
-      orphans.push_back(entry.path().string());
-      continue;
-    }
-    if (name.size() > 6 && name.substr(name.size() - 6) == ".wfseg") {
-      bool adopted = false;
-      for (const SegmentMeta& meta : manifest_.segments) {
-        if (entry.path().string() == SegmentPathLocked(meta.id)) {
-          adopted = true;
-          break;
-        }
-      }
-      if (!adopted) orphans.push_back(entry.path().string());
-    }
-  }
-  for (const std::string& orphan : orphans) {
-    std::filesystem::remove(orphan, ec);
-  }
-  segmented_ = true;
   live_count_ = CountLiveLocked();
   UpdateGaugesLocked();
   return common::Status::Ok();
@@ -110,7 +96,7 @@ common::Status LsmTree::OpenSegments(const std::string& dir,
 
 bool LsmTree::segmented() const {
   common::MutexLock lock(mu_);
-  return segmented_;
+  return segments_.is_open();
 }
 
 common::Status LsmTree::Put(std::string_view key, std::string_view value) {
@@ -162,7 +148,8 @@ common::Status LsmTree::Update(
     value = mem_entry->value;
   } else {
     bool found = false;
-    for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
+    for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
+         ++it) {
       if (!BloomPassLocked(**it, key)) continue;
       const SegmentReader::Entry* entry = (*it)->Find(key);
       if (entry == nullptr) continue;
@@ -197,7 +184,8 @@ common::Result<std::string> LsmTree::Get(std::string_view key) const {
     }
     return mem_entry->value;
   }
-  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
+  for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
+       ++it) {
     ++tiers;
     if (!BloomPassLocked(**it, key)) continue;
     const SegmentReader::Entry* entry = (*it)->Find(key);
@@ -248,19 +236,19 @@ size_t LsmTree::size() const {
 
 common::Status LsmTree::Flush() {
   common::MutexLock lock(mu_);
-  if (!segmented_) {
+  if (!segments_.is_open()) {
     return common::Status::FailedPrecondition(
         "ephemeral tree cannot flush (OpenSegments first)");
   }
   WF_RETURN_IF_ERROR(FlushLocked());
-  common::Status compacted = MaybeCompactLocked();
+  common::Status compacted = segments_.Compact(WriteMergedSegment);
   UpdateGaugesLocked();
   return compacted;
 }
 
 common::Status LsmTree::ClearEphemeral() {
   common::MutexLock lock(mu_);
-  if (segmented_) {
+  if (segments_.is_open()) {
     return common::Status::FailedPrecondition(
         "segment-mode tree cannot be cleared in memory");
   }
@@ -277,7 +265,7 @@ uint64_t LsmTree::memtable_bytes() const {
 
 size_t LsmTree::segment_count() const {
   common::MutexLock lock(mu_);
-  return segments_.size();
+  return segments_.runs().size();
 }
 
 uint64_t LsmTree::flushes() const {
@@ -287,19 +275,10 @@ uint64_t LsmTree::flushes() const {
 
 uint64_t LsmTree::compactions() const {
   common::MutexLock lock(mu_);
-  return compactions_;
+  return segments_.compactions();
 }
 
 // --- Locked internals -------------------------------------------------------
-
-std::string LsmTree::SegmentPathLocked(uint64_t id) const {
-  return dir_ + "/" + base_ +
-         common::StrFormat("-%llu.wfseg", static_cast<unsigned long long>(id));
-}
-
-std::string LsmTree::ManifestPathLocked() const {
-  return dir_ + "/" + base_ + ".manifest";
-}
 
 LsmTree::Presence LsmTree::PresenceLocked(std::string_view key,
                                           size_t* tiers_examined) const {
@@ -308,7 +287,8 @@ LsmTree::Presence LsmTree::PresenceLocked(std::string_view key,
   if (mem_entry != nullptr) {
     return mem_entry->tombstone ? Presence::kTombstoned : Presence::kLive;
   }
-  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
+  for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
+       ++it) {
     ++*tiers_examined;
     if (!BloomPassLocked(**it, key)) continue;
     const SegmentReader::Entry* entry = (*it)->Find(key);
@@ -329,12 +309,12 @@ bool LsmTree::BloomPassLocked(const SegmentReader& segment,
 }
 
 common::Status LsmTree::MaybeFlushLocked() {
-  if (!segmented_) return common::Status::Ok();
+  if (!segments_.is_open()) return common::Status::Ok();
   if (mem_.approx_bytes() < options_.memtable_ceiling_bytes) {
     return common::Status::Ok();
   }
   WF_RETURN_IF_ERROR(FlushLocked());
-  return MaybeCompactLocked();
+  return segments_.Compact(WriteMergedSegment);
 }
 
 common::Status LsmTree::FlushLocked() {
@@ -345,170 +325,23 @@ common::Status LsmTree::FlushLocked() {
   for (const auto& [key, entry] : mem_.entries()) {
     records.push_back({key, entry.value, entry.tombstone});
   }
-  const uint64_t id = manifest_.next_segment_id;
-  const std::string path = SegmentPathLocked(id);
-  uint64_t bytes = 0;
   BloomFilter bloom;
-  WF_RETURN_IF_ERROR(
-      WriteSegmentFile(path, records, injector_, &bytes, &bloom));
-  WF_ASSIGN_OR_RETURN(std::unique_ptr<SegmentReader> reader,
-                      SegmentReader::Open(path));
+  // Fail before the manifest swap commits the segment and the acked
+  // records stay in the memtable (and in the WAL above us): nothing is
+  // lost.
+  WF_RETURN_IF_ERROR(segments_.Append(
+      [&records, &bloom](const std::string& path,
+                         common::StorageFaultInjector* injector) {
+        return WriteSegmentFile(path, records, injector,
+                                /*bytes_out=*/nullptr, &bloom);
+      }));
   // The filter built at write time and the one rebuilt at open must agree,
   // or reads through the reopened reader could skip a live key.
-  WF_CHECK(bloom == reader->bloom()) << "bloom mismatch after reopen";
-  ManifestData next = manifest_;
-  next.next_segment_id = id + 1;
-  next.segments.push_back(SegmentMeta{id, records.size(), bytes});
-  // The manifest swap is the commit point: fail here and the new segment
-  // is an orphan the next open deletes, while the acked records stay in
-  // the memtable (and in the WAL above us) — nothing is lost.
-  WF_RETURN_IF_ERROR(SaveManifest(ManifestPathLocked(), next, injector_));
-  manifest_ = std::move(next);
-  segments_.push_back(std::move(reader));
+  WF_CHECK(bloom == segments_.runs().back()->bloom())
+      << "bloom mismatch after reopen";
   mem_.Clear();
   ++flushes_;
   if (m_.flushes != nullptr) m_.flushes->Add();
-  return common::Status::Ok();
-}
-
-size_t LsmTree::TierOfLocked(uint64_t bytes) const {
-  size_t tier = 0;
-  double ceiling = static_cast<double>(kTierBaseBytes);
-  while (static_cast<double>(bytes) > ceiling && tier < kMaxTier) {
-    ceiling *= options_.size_tier_factor;
-    ++tier;
-  }
-  return tier;
-}
-
-common::Status LsmTree::MaybeCompactLocked() {
-  if (!segmented_ || options_.compaction_fanout < 2) {
-    return common::Status::Ok();
-  }
-  // Keep merging while any age-contiguous run of >= fanout segments sits
-  // in one size tier. Only adjacent-age segments may merge: the merged
-  // run replaces them at the same position, so the manifest's oldest →
-  // newest precedence survives compaction untouched.
-  for (;;) {
-    size_t begin = segments_.size();
-    size_t end = begin;
-    for (size_t i = 0; i < segments_.size();) {
-      size_t tier = TierOfLocked(manifest_.segments[i].bytes);
-      size_t j = i + 1;
-      while (j < segments_.size() &&
-             TierOfLocked(manifest_.segments[j].bytes) == tier) {
-        ++j;
-      }
-      if (j - i >= options_.compaction_fanout) {
-        begin = i;
-        end = j;
-        break;
-      }
-      i = j;
-    }
-    if (begin == end) return common::Status::Ok();
-    WF_RETURN_IF_ERROR(CompactRunLocked(begin, end));
-  }
-}
-
-common::Status LsmTree::CompactRunLocked(size_t begin, size_t end) {
-  obs::ScopedTimer timer(m_.compaction_us);
-  // K-way merge across the run, newest (highest index) winning each key.
-  // Tombstones are dropped only when the run includes the oldest segment:
-  // otherwise a yet-older segment may still hold the key, and dropping
-  // the tombstone would resurrect it.
-  const bool drop_tombstones = begin == 0;
-  struct Cursor {
-    const SegmentReader* reader;
-    size_t pos = 0;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    cursors.push_back(Cursor{segments_[i].get(), 0});
-  }
-  struct MergedRecord {
-    std::string key;
-    std::string value;
-    bool tombstone;
-  };
-  std::vector<MergedRecord> merged;
-  for (;;) {
-    const std::string* min_key = nullptr;
-    for (const Cursor& c : cursors) {
-      if (c.pos >= c.reader->entries().size()) continue;
-      const std::string& key = c.reader->entries()[c.pos].key;
-      if (min_key == nullptr || key < *min_key) min_key = &key;
-    }
-    if (min_key == nullptr) break;
-    const std::string key = *min_key;
-    // Highest cursor index in the run = newest = winner.
-    const SegmentReader* win_reader = nullptr;
-    const SegmentReader::Entry* win_entry = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.pos >= c.reader->entries().size()) continue;
-      const SegmentReader::Entry& entry = c.reader->entries()[c.pos];
-      if (entry.key != key) continue;
-      win_reader = c.reader;
-      win_entry = &entry;
-      ++c.pos;
-    }
-    if (win_entry->tombstone) {
-      if (!drop_tombstones) merged.push_back({key, std::string(), true});
-      continue;
-    }
-    WF_ASSIGN_OR_RETURN(std::string value, win_reader->ReadValue(*win_entry));
-    merged.push_back({key, std::move(value), false});
-  }
-
-  std::vector<SegmentRecord> records;
-  records.reserve(merged.size());
-  for (const MergedRecord& rec : merged) {
-    records.push_back({rec.key, rec.value, rec.tombstone});
-  }
-  const uint64_t id = manifest_.next_segment_id;
-  const std::string path = SegmentPathLocked(id);
-  uint64_t bytes = 0;
-  WF_RETURN_IF_ERROR(WriteSegmentFile(path, records, injector_, &bytes));
-  WF_ASSIGN_OR_RETURN(std::unique_ptr<SegmentReader> reader,
-                      SegmentReader::Open(path));
-
-  ManifestData next;
-  next.next_segment_id = id + 1;
-  uint64_t rewritten = 0;
-  for (size_t i = 0; i < begin; ++i) {
-    next.segments.push_back(manifest_.segments[i]);
-  }
-  next.segments.push_back(SegmentMeta{id, records.size(), bytes});
-  for (size_t i = end; i < segments_.size(); ++i) {
-    next.segments.push_back(manifest_.segments[i]);
-  }
-  for (size_t i = begin; i < end; ++i) {
-    rewritten += manifest_.segments[i].bytes;
-  }
-  // Commit point: the old segments may be deleted only once the new
-  // manifest is durable. A crash before the swap leaves the old manifest
-  // + old segments (merged file is an orphan); a crash after it leaves
-  // the new manifest + stale files the next open garbage-collects.
-  WF_RETURN_IF_ERROR(SaveManifest(ManifestPathLocked(), next, injector_));
-  std::vector<std::string> stale;
-  for (size_t i = begin; i < end; ++i) {
-    stale.push_back(segments_[i]->path());
-  }
-  segments_.erase(segments_.begin() + static_cast<long>(begin),
-                  segments_.begin() + static_cast<long>(end));
-  segments_.insert(segments_.begin() + static_cast<long>(begin),
-                   std::move(reader));
-  manifest_ = std::move(next);
-  std::error_code ec;
-  for (const std::string& path_to_remove : stale) {
-    std::filesystem::remove(path_to_remove, ec);
-  }
-  ++compactions_;
-  if (m_.compactions != nullptr) m_.compactions->Add();
-  if (m_.compaction_bytes_rewritten != nullptr) {
-    m_.compaction_bytes_rewritten->Add(rewritten);
-  }
   return common::Status::Ok();
 }
 
@@ -519,14 +352,16 @@ common::Status LsmTree::ForEachMergedLocked(
   // One cursor per tier; precedence is memtable first, then segments
   // newest → oldest. Every cursor holding the minimum key advances, and
   // the highest-precedence one supplies the record.
+  const std::vector<std::unique_ptr<SegmentReader>>& segments =
+      segments_.runs();
   auto mem_it = mem_.entries().begin();
-  std::vector<size_t> seg_pos(segments_.size(), 0);
+  std::vector<size_t> seg_pos(segments.size(), 0);
   for (;;) {
     const std::string* min_key = nullptr;
     if (mem_it != mem_.entries().end()) min_key = &mem_it->first;
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      if (seg_pos[i] >= segments_[i]->entries().size()) continue;
-      const std::string& key = segments_[i]->entries()[seg_pos[i]].key;
+    for (size_t i = 0; i < segments.size(); ++i) {
+      if (seg_pos[i] >= segments[i]->entries().size()) continue;
+      const std::string& key = segments[i]->entries()[seg_pos[i]].key;
       if (min_key == nullptr || key < *min_key) min_key = &key;
     }
     if (min_key == nullptr) return common::Status::Ok();
@@ -541,13 +376,13 @@ common::Status LsmTree::ForEachMergedLocked(
       tombstone = mem_it->second.tombstone;
     }
     // Advance all matching segment cursors; remember the newest match.
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      if (seg_pos[i] >= segments_[i]->entries().size()) continue;
+    for (size_t i = 0; i < segments.size(); ++i) {
+      if (seg_pos[i] >= segments[i]->entries().size()) continue;
       const SegmentReader::Entry& entry =
-          segments_[i]->entries()[seg_pos[i]];
+          segments[i]->entries()[seg_pos[i]];
       if (entry.key != key) continue;
       if (!from_mem) {
-        win_reader = segments_[i].get();
+        win_reader = segments[i].get();
         win_entry = &entry;
       }
       ++seg_pos[i];
@@ -584,13 +419,13 @@ void LsmTree::UpdateGaugesLocked() const {
   if (metrics_ == nullptr) return;
   m_.memtable_bytes->Set(static_cast<int64_t>(mem_.approx_bytes()));
   m_.memtable_entries->Set(static_cast<int64_t>(mem_.entry_count()));
-  m_.segments->Set(static_cast<int64_t>(segments_.size()));
+  m_.segments->Set(static_cast<int64_t>(segments_.runs().size()));
   m_.live_keys->Set(static_cast<int64_t>(live_count_));
   // Per-tier gauges: set every occupied tier, zero the rest we ever
   // exported so a merged-away tier does not keep reporting stale counts.
   std::map<size_t, int64_t> counts;
-  for (const SegmentMeta& meta : manifest_.segments) {
-    ++counts[TierOfLocked(meta.bytes)];
+  for (const SegmentMeta& meta : segments_.metas()) {
+    ++counts[SizeTierOf(meta.bytes)];
   }
   for (const auto& [tier, count] : counts) {
     auto it = tier_gauges_.find(tier);

@@ -12,13 +12,9 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "store/manifest.h"
 #include "store/memtable.h"
 #include "store/segment.h"
-
-namespace wf::common {
-class StorageFaultInjector;
-}  // namespace wf::common
+#include "store/segment_stack.h"
 
 namespace wf::store {
 
@@ -30,19 +26,15 @@ struct LsmOptions {
   // Minimum number of adjacent same-size-tier segments that compaction
   // merges into one.
   size_t compaction_fanout = 4;
-  // Geometric growth factor between size tiers.
-  double size_tier_factor = 4.0;
 };
 
 // An LSM-style key/value tree: one mutable memtable (delta tier) over a
 // stack of immutable sorted segment files (frozen tiers). Reads merge the
 // tiers newest-first; deletes are tombstones that shadow older segments
-// until compaction proves no older record survives. All durable writes go
-// through the envelope discipline (WriteSnapshotFile → WriteFileAtomic),
-// and the manifest swap is the single commit point for flushes and
-// compactions — a crash at any byte leaves either the old manifest (new
-// segment is an orphan, deleted at next open) or the new one (fully
-// consistent), never a half state.
+// until compaction proves no older record survives. The segment files,
+// their manifest, and the commit protocol of flushes and compactions are
+// a SegmentStack; this class adds the memtable, the merged reads, and the
+// k-way key merge compaction runs.
 //
 // Without OpenSegments the tree is ephemeral: a plain sorted in-memory
 // map, no files ever touched.
@@ -120,8 +112,6 @@ class LsmTree {
     obs::Gauge* segments = nullptr;
     obs::Gauge* live_keys = nullptr;
     obs::Counter* flushes = nullptr;
-    obs::Counter* compactions = nullptr;
-    obs::Counter* compaction_bytes_rewritten = nullptr;
     obs::Counter* gets = nullptr;
     obs::Counter* read_tiers = nullptr;
     // Bloom pre-checks on segment probes: hits = the filter ruled the
@@ -130,11 +120,8 @@ class LsmTree {
     obs::Counter* bloom_hits = nullptr;
     obs::Counter* bloom_misses = nullptr;
     obs::Histogram* flush_us = nullptr;
-    obs::Histogram* compaction_us = nullptr;
   };
 
-  std::string SegmentPathLocked(uint64_t id) const WF_REQUIRES(mu_);
-  std::string ManifestPathLocked() const WF_REQUIRES(mu_);
   Presence PresenceLocked(std::string_view key,
                           size_t* tiers_examined) const WF_REQUIRES(mu_);
   // Consults `segment`'s Bloom filter and bumps the hit/miss counters;
@@ -143,9 +130,6 @@ class LsmTree {
                        std::string_view key) const WF_REQUIRES(mu_);
   common::Status MaybeFlushLocked() WF_REQUIRES(mu_);
   common::Status FlushLocked() WF_REQUIRES(mu_);
-  common::Status MaybeCompactLocked() WF_REQUIRES(mu_);
-  common::Status CompactRunLocked(size_t begin, size_t end) WF_REQUIRES(mu_);
-  size_t TierOfLocked(uint64_t bytes) const WF_REQUIRES(mu_);
   common::Status ForEachMergedLocked(
       bool need_values,
       const std::function<common::Status(const std::string& key,
@@ -158,20 +142,14 @@ class LsmTree {
   const obs::MetricsRegistry* metrics_ = nullptr;
   std::string metric_prefix_;
   MetricSet m_;
-  std::string dir_;
-  std::string base_;
   LsmOptions options_;
-  common::StorageFaultInjector* injector_ = nullptr;
 
   mutable common::Mutex mu_;
-  bool segmented_ WF_GUARDED_BY(mu_) = false;
   Memtable mem_ WF_GUARDED_BY(mu_);
-  // Parallel to manifest_.segments, oldest → newest.
-  std::vector<std::unique_ptr<SegmentReader>> segments_ WF_GUARDED_BY(mu_);
-  ManifestData manifest_ WF_GUARDED_BY(mu_);
+  // Open once in segment mode; empty in an ephemeral tree.
+  SegmentStack<SegmentReader> segments_ WF_GUARDED_BY(mu_);
   size_t live_count_ WF_GUARDED_BY(mu_) = 0;
   uint64_t flushes_ WF_GUARDED_BY(mu_) = 0;
-  uint64_t compactions_ WF_GUARDED_BY(mu_) = 0;
   // Size-tier gauges created on first use so only occupied tiers export.
   mutable std::map<size_t, obs::Gauge*> tier_gauges_ WF_GUARDED_BY(mu_);
 };

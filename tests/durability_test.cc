@@ -520,6 +520,34 @@ TEST(ClusterDurabilityTest, WholeClusterRestartsFromItsDirectory) {
   EXPECT_EQ(result.docs.size(), ids.size());
 }
 
+// A durability directory spelled with a trailing "/" must not make the
+// restarted node's orphan sweep delete the runs its checkpoint committed.
+TEST(ClusterDurabilityTest, RestartFromATrailingSlashDirKeepsTheCheckpoint) {
+  ScopedTempDir dir("cluster_trailing_slash");
+  std::vector<std::string> ids = {"d1", "d2", "d3", "d4", "d5", "d6"};
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.EnableDurability({dir.path() + "/", 0}).ok());
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(cluster.Ingest(MakeEntity(id)).ok());
+  }
+  cluster.MineAndIndexAll();
+  ASSERT_TRUE(cluster.CheckpointAll().ok());
+  const std::vector<std::string> before = cluster.Search("battery").docs;
+  ASSERT_EQ(before.size(), ids.size());
+
+  ASSERT_TRUE(cluster.CrashNode(0).ok());
+  ASSERT_TRUE(cluster.RestartNode(0).ok());
+  EXPECT_EQ(cluster.TotalEntities(), ids.size());
+  platform::SearchResult after = cluster.Search("battery");
+  EXPECT_TRUE(after.complete());
+  EXPECT_EQ(after.docs, before);
+  for (const std::string& id : ids) {
+    EXPECT_TRUE(cluster.node(0).store().Get(id).ok() ||
+                cluster.node(1).store().Get(id).ok())
+        << id;
+  }
+}
+
 TEST(ClusterDurabilityTest, EnablingWithANodeDownFailsAndChangesNothing) {
   ScopedTempDir dir("cluster_node_down");
   Cluster cluster(2);

@@ -1,7 +1,8 @@
 // Storage engine tests (DESIGN.md §13): varint coding, the LSM tree's
-// tiered reads and compaction, corruption rejection at every byte,
-// crash-at-every-op fuzz over the flush and compaction manifest swaps,
-// frozen-index/ephemeral query equivalence, and the cluster-level
+// tiered reads and compaction, corruption rejection at every byte and
+// crash-at-every-op fuzz over the flush and compaction manifest swaps (for
+// the store and the index), frozen-index/ephemeral query equivalence,
+// goldens over the segment files themselves, and the cluster-level
 // crash → restart acceptance check with byte-identical answers.
 #include <algorithm>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "platform/cluster.h"
@@ -23,7 +25,9 @@
 #include "store/bloom.h"
 #include "store/index_segment.h"
 #include "store/lsm.h"
+#include "store/manifest.h"
 #include "store/segment.h"
+#include "store/segment_stack.h"
 #include "store/varint.h"
 
 namespace wf {
@@ -657,6 +661,251 @@ TEST(FrozenIndexTest, FreezeCrashAtEveryOpPreservesCommittedTiers) {
     }
   }
   EXPECT_TRUE(done) << "fuzz never reached a crash-free run";
+}
+
+TEST(FrozenIndexTest, CorruptSegmentOrManifestRejectedAtEveryByte) {
+  ScopedTempDir dir("frozen_corrupt");
+  {
+    InvertedIndex idx;
+    ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx").ok());
+    idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
+    idx.AddConceptToken("d1", "Sentiment/Positive");
+    ASSERT_TRUE(idx.Freeze().ok());
+  }
+  for (const char* name : {"idx-1.wfseg", "idx.manifest"}) {
+    const std::string path = dir.File(name);
+    const std::string pristine = ReadAll(path);
+    ASSERT_FALSE(pristine.empty()) << name;
+    for (size_t i = 0; i < pristine.size(); ++i) {
+      std::string mutated = pristine;
+      mutated[i] ^= 0x01;
+      WriteRaw(path, mutated);
+      InvertedIndex re;
+      EXPECT_FALSE(re.EnableSegments(dir.path(), "idx").ok())
+          << name << " byte " << i;
+    }
+    for (size_t len = 0; len < pristine.size(); len += 7) {
+      WriteRaw(path, pristine.substr(0, len));
+      InvertedIndex re;
+      EXPECT_FALSE(re.EnableSegments(dir.path(), "idx").ok())
+          << name << " truncated to " << len;
+    }
+    WriteRaw(path, pristine);
+    InvertedIndex ok;
+    ASSERT_TRUE(ok.EnableSegments(dir.path(), "idx").ok()) << name;
+    EXPECT_EQ(ok.Term("sentiment/positive"), (std::vector<std::string>{"d1"}));
+  }
+}
+
+// The canonical image of `idx` (Save bytes): its whole logical content.
+std::string IndexImage(const InvertedIndex& idx, const std::string& path) {
+  EXPECT_TRUE(idx.Save(path).ok());
+  return ReadAll(path);
+}
+
+// The index's analogue of the store's compaction walk: a third freeze that
+// re-indexes a frozen doc adds a second tier-0 run, and fanout 2 merges it.
+// Power dies at each durable op in turn; the reopened index must hold
+// exactly the committed generation or exactly the full one.
+TEST(FrozenIndexTest, CompactionCrashAtEveryOpKeepsOldTiersIntact) {
+  const auto committed_ops = [](InvertedIndex& idx) {
+    idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
+    idx.IndexEntity(ReviewEntity("d2", "screen glare", 2.0));
+    idx.AddConceptToken("d1", "Sentiment/Positive");
+  };
+  const auto last_ops = [](InvertedIndex& idx) {
+    idx.IndexEntity(ReviewEntity("d1", "battery died fast", 1.0));
+    idx.IndexEntity(ReviewEntity("d3", "great keyboard", 5.0));
+  };
+  ScopedTempDir images("frozen_compactfuzz_images");
+  InvertedIndex reference;
+  committed_ops(reference);
+  const std::string committed = IndexImage(reference, images.File("c.idx"));
+  last_ops(reference);
+  const std::string full = IndexImage(reference, images.File("f.idx"));
+  ASSERT_NE(committed, full);
+
+  size_t crash_points = 0;
+  bool done = false;
+  for (uint64_t crash_at = 0; crash_at < 16 && !done; ++crash_at) {
+    ScopedTempDir dir("frozen_compactfuzz");
+    StorageFaultInjector injector(/*seed=*/crash_at);
+    InvertedIndex idx;
+    ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx", &injector,
+                                   /*compaction_fanout=*/2)
+                    .ok());
+    idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
+    ASSERT_TRUE(idx.Freeze().ok());
+    idx.IndexEntity(ReviewEntity("d2", "screen glare", 2.0));
+    idx.AddConceptToken("d1", "Sentiment/Positive");
+    ASSERT_TRUE(idx.Freeze().ok());  // the second run compacts
+    last_ops(idx);
+    injector.ArmOpCrash(dir.path(), crash_at);
+    const common::Status freeze = idx.Freeze();
+    const bool crashed = injector.counters().crashed > 0;
+    injector.ClearCrashes();
+
+    InvertedIndex re;
+    ASSERT_TRUE(re.EnableSegments(dir.path(), "idx", nullptr,
+                                  /*compaction_fanout=*/2)
+                    .ok())
+        << "crash_at=" << crash_at;
+    const std::string image = IndexImage(re, images.File("re.idx"));
+    if (freeze.ok()) {
+      EXPECT_EQ(image, full) << "crash_at=" << crash_at;
+    } else {
+      EXPECT_TRUE(image == full || image == committed)
+          << "crash_at=" << crash_at << " left a mixed generation";
+    }
+    // The reopen swept every orphan: the manifest and its runs remain.
+    auto manifest = store::LoadManifest(dir.File("idx.manifest"));
+    ASSERT_TRUE(manifest.ok()) << "crash_at=" << crash_at;
+    std::set<std::string> listed = {"idx.manifest"};
+    for (const store::SegmentMeta& meta : manifest.value().segments) {
+      listed.insert(common::StrFormat(
+          "idx-%llu.wfseg", static_cast<unsigned long long>(meta.id)));
+    }
+    EXPECT_EQ(DirFiles(dir.path()), listed) << "crash_at=" << crash_at;
+    if (crashed) {
+      ++crash_points;
+    } else {
+      EXPECT_TRUE(freeze.ok());
+      done = true;
+    }
+  }
+  EXPECT_TRUE(done) << "fuzz never reached a crash-free run";
+  // The freeze's segment and manifest, then the merge's.
+  EXPECT_GE(crash_points, 4u);
+}
+
+// A directory spelled with a trailing "/" or "/./" names the same files.
+// The open's orphan sweep must still recognize every adopted run, on the
+// first reopen and on the ones after it, for the store and the index.
+TEST(SegmentDirTest, TrailingSlashOrDotKeepsCheckpointedRuns) {
+  for (const std::string suffix : {"/", "/./"}) {
+    ScopedTempDir dir("dir_spelling");
+    const std::string spelled = dir.path() + suffix;
+    {
+      LsmTree tree;
+      ASSERT_TRUE(tree.OpenSegments(spelled, "s", LsmOptions(), nullptr).ok());
+      ASSERT_TRUE(tree.Put("alpha", "one").ok());
+      ASSERT_TRUE(tree.Flush().ok());
+      InvertedIndex idx;
+      ASSERT_TRUE(idx.EnableSegments(spelled, "idx").ok());
+      idx.IndexEntity(ReviewEntity("d1", "battery life", 4.0));
+      ASSERT_TRUE(idx.Freeze().ok());
+    }
+    for (int reopen = 1; reopen <= 2; ++reopen) {
+      LsmTree tree;
+      ASSERT_TRUE(tree.OpenSegments(spelled, "s", LsmOptions(), nullptr).ok())
+          << suffix << " reopen " << reopen;
+      auto got = tree.Get("alpha");
+      ASSERT_TRUE(got.ok()) << suffix << " reopen " << reopen << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got.value(), "one");
+      InvertedIndex idx;
+      ASSERT_TRUE(idx.EnableSegments(spelled, "idx").ok())
+          << suffix << " reopen " << reopen;
+      ASSERT_EQ(DirFiles(dir.path()),
+                (std::set<std::string>{"idx-1.wfseg", "idx.manifest",
+                                       "s-1.wfseg", "s.manifest"}))
+          << suffix << " reopen " << reopen;
+      EXPECT_EQ(idx.Term("battery"), (std::vector<std::string>{"d1"}));
+    }
+  }
+}
+
+// --- segment layout goldens -------------------------------------------------
+//
+// Save writes a layout-free image, so the goldens above cannot see a
+// changed flush or compaction schedule. These hash the files themselves:
+// the manifest, then each run it lists, oldest first.
+
+// FNV-1a of `<base>.manifest` followed by its runs; `tiers` gets the size
+// tier of each run.
+uint64_t LayoutFingerprint(const std::string& dir, const std::string& base,
+                           std::set<size_t>* tiers) {
+  const std::string manifest_path = dir + "/" + base + ".manifest";
+  auto manifest = store::LoadManifest(manifest_path);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return 0;
+  std::string bytes = ReadAll(manifest_path);
+  for (const store::SegmentMeta& meta : manifest.value().segments) {
+    bytes += ReadAll(dir + "/" + store::RunFileName(base, meta.id));
+    tiers->insert(store::SizeTierOf(meta.bytes));
+  }
+  return common::Fnv1a64(bytes);
+}
+
+// A deterministic pick in [0, n) for step `i` of stream `salt`.
+size_t Pick(const std::string& salt, size_t i, size_t n) {
+  return common::Fnv1a64(salt + std::to_string(i)) % n;
+}
+
+TEST(SegmentLayoutTest, StoreRunsMatchGolden) {
+  ScopedTempDir dir("layout_store");
+  LsmOptions opts;
+  opts.memtable_ceiling_bytes = 2 << 10;
+  opts.compaction_fanout = 2;
+  LsmTree tree;
+  ASSERT_TRUE(tree.OpenSegments(dir.path(), "s", opts, nullptr).ok());
+  for (size_t i = 0; i < 1500; ++i) {
+    const std::string key =
+        common::StrFormat("key-%03zu", Pick("k", i, 400));
+    if (Pick("del", i, 6) == 0 && tree.Contains(key)) {
+      ASSERT_TRUE(tree.Delete(key).ok());
+      continue;
+    }
+    const std::string value =
+        common::StrFormat("v%zu:", i) + std::string(Pick("len", i, 48), 'x');
+    ASSERT_TRUE(tree.Put(key, value).ok());
+  }
+  ASSERT_TRUE(tree.Flush().ok());
+  EXPECT_EQ(tree.flushes(), 69u);
+  EXPECT_EQ(tree.compactions(), 67u);
+  std::set<size_t> tiers;
+  EXPECT_EQ(LayoutFingerprint(dir.path(), "s", &tiers),
+            0x6dc2697f93702209ull);
+  EXPECT_GE(tiers.size(), 2u);
+}
+
+TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
+  ScopedTempDir dir("layout_index");
+  const std::vector<std::string> words = {
+      "battery", "screen",  "zoom",  "lens",  "great", "poor",
+      "glare",   "quality", "price", "strap", "flash", "menu",
+      "sharp",   "blurry",  "heavy", "light", "fast",  "slow"};
+  InvertedIndex idx;
+  ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx", nullptr,
+                                 /*compaction_fanout=*/2)
+                  .ok());
+  for (size_t step = 0; step < 7 * 30; ++step) {
+    // Ids repeat across freezes, so later runs re-index frozen docs.
+    Entity e(common::StrFormat("doc-%02zu", Pick("id", step, 120)),
+             "reviews");
+    std::string body;
+    for (size_t w = 0; w < 12 + Pick("n", step, 12); ++w) {
+      if (w > 0) body += " ";
+      body += words[Pick("w", step * 31 + w, words.size())];
+    }
+    e.SetBody(body);
+    e.SetField("rating", std::to_string(Pick("r", step, 5) + 1));
+    e.AddConceptToken(Pick("pol", step, 2) == 0 ? "Sentiment/Positive"
+                                               : "Sentiment/Negative");
+    idx.IndexEntity(e);
+    if (Pick("touch", step, 4) == 0) {
+      idx.AddConceptToken(
+          common::StrFormat("doc-%02zu", Pick("t", step, 120)),
+          "Subject/" + words[Pick("s", step, words.size())]);
+    }
+    if (step % 30 == 29) {
+      ASSERT_TRUE(idx.Freeze().ok());
+    }
+  }
+  std::set<size_t> tiers;
+  EXPECT_EQ(LayoutFingerprint(dir.path(), "idx", &tiers),
+            0x2195b9e3e2892789ull);
+  EXPECT_GE(tiers.size(), 2u);
 }
 
 // --- DataStore over segments ------------------------------------------------
