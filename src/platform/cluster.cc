@@ -436,11 +436,8 @@ SearchResult Cluster::TracedSearch(
     // health-derived ~p95 (clamped to the deadline) and a suspect shard is
     // abandoned early. GatherSearch unions docs into a set, so the answer
     // bytes cannot depend on which copy of a shard's response won.
-    result = GatherSearch(
-        hedge_.enabled
-            ? bus_.CallAllHedged("node/", EncodeMessage(request_fields),
-                                 options, hedge_)
-            : bus_.CallAll("node/", EncodeMessage(request_fields), options));
+    const std::string request = EncodeMessage(request_fields);
+    result = GatherSearch(bus_.CallAll("node/", request, options, hedge_));
   }
   AccountDownNodes(
       [](size_t i) { return common::StrFormat("node/%zu/search", i); },

@@ -200,7 +200,7 @@ class Cluster {
   const HealthScoreboard& health() const { return health_; }
 
   // Turns on tail-tolerant scatters: deadline-bounded searches then go
-  // through VinciBus::CallAllHedged under `hedge` (with enabled forced
+  // through the hedged VinciBus::CallAll under `hedge` (with enabled forced
   // true), so a straggling shard is re-issued at its ~p95 and a suspect
   // shard is abandoned early instead of dragging the gather to the
   // deadline. Off by default — the unhedged path and its metric footprint

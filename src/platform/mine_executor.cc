@@ -80,6 +80,14 @@ void MineExecutor::ParallelFor(size_t count,
   }
 }
 
+void MineExecutor::Submit(std::function<void()> task) {
+  {
+    common::MutexLock lock(mu_);
+    singles_.push_back(std::move(task));
+  }
+  work_cv_.notify_one();
+}
+
 bool MineExecutor::RunStride(const std::shared_ptr<Batch>& batch,
                              std::unique_lock<common::Mutex>& lock) {
   const size_t begin = batch->next.fetch_add(batch->stride);
@@ -111,8 +119,18 @@ bool MineExecutor::RunStride(const std::shared_ptr<Batch>& batch,
 void MineExecutor::WorkerLoop() {
   std::unique_lock<common::Mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    work_cv_.wait(lock, [&] {
+      return stop_ || !singles_.empty() || !queue_.empty();
+    });
     if (stop_) return;
+    if (!singles_.empty()) {
+      std::function<void()> task = std::move(singles_.front());
+      singles_.pop_front();
+      lock.unlock();
+      task();
+      lock.lock();
+      continue;
+    }
     std::shared_ptr<Batch> batch = queue_.front();
     if (!RunStride(batch, lock)) {
       // Fully claimed: retire it from the queue head so later batches run.

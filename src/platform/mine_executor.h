@@ -35,15 +35,15 @@ struct MineExecutorOptions {
   size_t batch_size = 0;
 };
 
-// The node-level mining pool: a bounded set of persistent workers that run
-// a shard sweep's per-entity tasks concurrently. Design mirrors
-// VinciBus::ScatterPool — tasks of one ParallelFor form a batch, workers
-// and the calling thread both claim ranges from it, so progress never
-// depends on a free pool thread and a task that calls ParallelFor again
-// drains its own nested batch (no deadlock). One executor is meant to be
-// shared by a whole Cluster: node-level sweeps dispatched concurrently
-// interleave their batches on the same bounded worker set instead of
-// multiplying threads.
+// The one worker-pool type: a bounded set of persistent workers. Tasks of
+// one ParallelFor form a batch; workers and the calling thread both claim
+// ranges from it, so progress never depends on a free pool thread and a
+// task that calls ParallelFor again drains its own nested batch (no
+// deadlock). A Cluster shares one executor across its shards' mining
+// sweeps, so node-level sweeps dispatched concurrently interleave their
+// batches on the same bounded worker set instead of multiplying threads;
+// each VinciBus owns one (batch_size 1) for its scatters, where Submit
+// also carries the hedged gather's detached attempts.
 //
 // Determinism contract: ParallelFor provides *scheduling*, never
 // *ordering* — tasks must not communicate, and every ordered effect (store
@@ -71,6 +71,14 @@ class MineExecutor {
   // which the clang analysis cannot follow.
   void ParallelFor(size_t count, const std::function<void(size_t)>& task)
       WF_NO_THREAD_SAFETY_ANALYSIS;
+
+  // Enqueues one task to run on a pool worker, never on the calling thread,
+  // unordered relative to batches; workers take submitted tasks before
+  // batch work. For callers that must not park inside a task: the bus's
+  // hedged gather keeps watching the clock while its attempts sleep
+  // through their round trips. Tasks still queued when the executor is
+  // destroyed are dropped unstarted.
+  void Submit(std::function<void()> task);
 
   // Worker threads owned by the pool (not counting participating callers).
   size_t threads() const { return workers_.size(); }
@@ -106,6 +114,7 @@ class MineExecutor {
   std::condition_variable_any work_cv_;
   std::condition_variable_any done_cv_;
   std::deque<std::shared_ptr<Batch>> queue_ WF_GUARDED_BY(mu_);
+  std::deque<std::function<void()>> singles_ WF_GUARDED_BY(mu_);
   bool stop_ WF_GUARDED_BY(mu_) = false;
 
   std::atomic<size_t> active_workers_{0};

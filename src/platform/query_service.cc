@@ -165,12 +165,6 @@ SentimentQueryResult SentimentQueryService::Query(
                 neg_docs.failed_services.end());
   result.nodes_responded = result.nodes_total - failed.size();
 
-  // The answer's exact read set: every doc either scatter surfaced, for
-  // result caches that must invalidate when one of them is re-mined.
-  std::set<std::string> covered(pos_docs.docs.begin(), pos_docs.docs.end());
-  covered.insert(neg_docs.docs.begin(), neg_docs.docs.end());
-  result.covered_docs.assign(covered.begin(), covered.end());
-
   size_t half = max_hits / 2 + 1;
   std::vector<SentimentHit> pos = FetchHits(
       subject, Polarity::kPositive, pos_docs.docs, half, deadline,

@@ -37,10 +37,6 @@ struct SentimentQueryResult {
   // (hit fetches, or the whole scatter) were skipped — the answer is a
   // partial snapshot, never a stalled wait.
   bool deadline_expired = false;
-  // Every document id the search scatters returned (positive and negative
-  // union) — the exact read set of this answer, so a result cache can
-  // invalidate precisely when one of these documents is re-mined.
-  std::vector<std::string> covered_docs;
   bool complete() const {
     return nodes_responded == nodes_total && fetch_failures == 0 &&
            !deadline_expired;

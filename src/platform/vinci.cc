@@ -1,11 +1,11 @@
 #include "platform/vinci.h"
-// wflint: allow(platform-raw-thread) — ScatterPool is one of the shared
-// pool implementations the rule points everyone else at.
+// wflint: allow(platform-raw-thread) — the hedged gather's sick lane runs a
+// suspect target's primary on its own detached thread, so a straggler never
+// holds one of the scatter pool's workers (DESIGN.md §14).
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <thread>
 
 #include "common/hash.h"
@@ -17,133 +17,12 @@
 #include "platform/deadline.h"
 #include "platform/fault.h"
 #include "platform/health.h"
+#include "platform/mine_executor.h"
 
 namespace wf::platform {
 
 using ::wf::common::Status;
 using ::wf::common::StatusCode;
-
-// --- Bounded scatter pool ---------------------------------------------------
-//
-// A small reusable worker pool for CallAll: a wide fan-out under injected
-// latency used to spawn one thread per target, which a few hundred nodes
-// turn into a few hundred threads. Tasks of one scatter form a batch;
-// workers and the scattering caller both claim tasks from it, so progress
-// never depends on a free pool thread (a handler that scatters again from
-// inside a pool thread drains its own nested batch itself — no deadlock).
-class VinciBus::ScatterPool {
- public:
-  explicit ScatterPool(size_t threads) {
-    workers_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~ScatterPool() {
-    {
-      common::MutexLock lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  // Enqueues one detached task; it runs on some pool worker, unordered
-  // relative to batches. The hedged gather uses this for primaries and
-  // hedges because the coordinator must keep watching the clock instead of
-  // parking inside a straggler's simulated round trip (RunAll would make
-  // the caller claim — and sleep through — a task itself).
-  void Submit(std::function<void()> task) {
-    {
-      common::MutexLock lock(mu_);
-      singles_.push_back(std::move(task));
-    }
-    work_cv_.notify_one();
-  }
-
-  // Runs every task, returning once all have finished. The calling thread
-  // participates in its own batch.
-  void RunAll(std::vector<std::function<void()>>* tasks)
-      WF_NO_THREAD_SAFETY_ANALYSIS {
-    if (tasks->empty()) return;
-    auto batch = std::make_shared<Batch>();
-    batch->tasks = tasks;
-    batch->size = tasks->size();
-    {
-      common::MutexLock lock(mu_);
-      queue_.push_back(batch);
-    }
-    work_cv_.notify_all();
-    for (;;) {
-      size_t i = batch->next.fetch_add(1);
-      if (i >= batch->size) break;
-      (*tasks)[i]();
-      common::MutexLock lock(mu_);
-      if (++batch->done == batch->size) done_cv_.notify_all();
-    }
-    std::unique_lock<common::Mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return batch->done == batch->size; });
-    // The batch may still sit in the queue with all tasks claimed; remove
-    // it so no worker touches it after `tasks` goes out of scope.
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (*it == batch) {
-        queue_.erase(it);
-        break;
-      }
-    }
-  }
-
- private:
-  struct Batch {
-    std::vector<std::function<void()>>* tasks = nullptr;
-    size_t size = 0;                // copy: survives `tasks` going away
-    std::atomic<size_t> next{0};    // next unclaimed task index
-    size_t done = 0;                // finished tasks; guarded by pool mu_
-  };
-
-  // The analysis cannot follow a unique_lock handed in and out of cv
-  // waits; the fields stay annotated so every other access is checked.
-  void WorkerLoop() WF_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<common::Mutex> lock(mu_);
-    for (;;) {
-      work_cv_.wait(lock,
-                    [&] { return stop_ || !queue_.empty() || !singles_.empty(); });
-      if (stop_) return;
-      if (!singles_.empty()) {
-        std::function<void()> task = std::move(singles_.front());
-        singles_.pop_front();
-        lock.unlock();
-        task();
-        lock.lock();
-        continue;
-      }
-      std::shared_ptr<Batch> batch = queue_.front();
-      size_t i = batch->next.fetch_add(1);
-      if (i >= batch->size) {
-        if (!queue_.empty() && queue_.front() == batch) queue_.pop_front();
-        continue;
-      }
-      lock.unlock();
-      (*batch->tasks)[i]();
-      lock.lock();
-      if (++batch->done == batch->size) done_cv_.notify_all();
-    }
-  }
-
-  // Started in the constructor, joined in the destructor, untouched in
-  // between: lifecycle-immutable, so declared above the mutex.
-  std::vector<std::thread> workers_;
-
-  common::Mutex mu_;
-  // condition_variable_any, not condition_variable: it waits on the
-  // annotated common::Mutex directly.
-  std::condition_variable_any work_cv_;
-  std::condition_variable_any done_cv_;
-  std::deque<std::shared_ptr<Batch>> queue_ WF_GUARDED_BY(mu_);
-  std::deque<std::function<void()>> singles_ WF_GUARDED_BY(mu_);
-  bool stop_ WF_GUARDED_BY(mu_) = false;
-};
 
 namespace {
 
@@ -163,12 +42,12 @@ VinciBus::DispatchGuard::DispatchGuard(const VinciBus& bus) : bus_(bus) {
 }
 
 VinciBus::DispatchGuard::~DispatchGuard() {
-  bool idle;
-  {
-    common::MutexLock lock(bus_.dispatch_mu_);
-    idle = --bus_.active_dispatches_ == 0;
-  }
-  if (idle) bus_.dispatch_cv_.notify_all();
+  // Notify under the lock: a sick-lane thread runs this with nobody joining
+  // it, and once the count reads zero and the lock is free, Shutdown may
+  // return and the bus be destroyed. Nothing may touch the bus after the
+  // unlock.
+  common::MutexLock lock(bus_.dispatch_mu_);
+  if (--bus_.active_dispatches_ == 0) bus_.dispatch_cv_.notify_all();
 }
 
 void VinciBus::QuiesceDispatches() const WF_NO_THREAD_SAFETY_ANALYSIS {
@@ -197,7 +76,7 @@ void VinciBus::AttachTracer(obs::Tracer* tracer) {
 }
 
 void VinciBus::Shutdown() {
-  std::unique_ptr<ScatterPool> pool;
+  std::unique_ptr<MineExecutor> pool;
   {
     common::MutexLock lock(pool_mu_);
     pool = std::move(pool_);
@@ -428,14 +307,14 @@ common::Result<std::string> VinciBus::CallOnce(const std::string& service,
 }
 
 common::Result<std::string> VinciBus::Call(const std::string& service,
-                                           const std::string& request) const {
-  bool breaker_rejected = false;
-  return CallOnce(service, request, &breaker_rejected);
-}
-
-common::Result<std::string> VinciBus::Call(const std::string& service,
                                            const std::string& request,
                                            const CallOptions& options) const {
+  if (options.deadline_us == 0 && options.max_retries == 0) {
+    // A plain call keeps the plain metric footprint (no per-call retry
+    // histogram), so deadline-free callers' golden exports are untouched.
+    bool breaker_rejected = false;
+    return CallOnce(service, request, &breaker_rejected);
+  }
   const uint64_t start_us = obs::MonotonicNowUs();
   auto elapsed_us = [start_us] { return obs::MonotonicNowUs() - start_us; };
   // Retries actually performed, recorded on every exit path so the
@@ -495,58 +374,14 @@ common::Result<std::string> VinciBus::Call(const std::string& service,
   }
 }
 
-std::vector<std::pair<std::string, common::Result<std::string>>>
-VinciBus::CallAll(const std::string& prefix,
-                  const std::string& request) const {
-  return CallAll(prefix, request, CallOptions{});
-}
-
-std::vector<std::pair<std::string, common::Result<std::string>>>
-VinciBus::CallAll(const std::string& prefix, const std::string& request,
-                  const CallOptions& options) const {
-  std::vector<std::string> targets;
-  {
-    common::MutexLock lock(mu_);
-    for (auto it = services_.lower_bound(prefix);
-         it != services_.end() && common::StartsWith(it->first, prefix);
-         ++it) {
-      targets.push_back(it->first);
-    }
-  }
-  // Scatter over the worker pool — the gather latency is a handful of
-  // round trips at worst, not the sum over nodes, while the thread count
-  // stays bounded however wide the fan-out is. Dispatch goes through
-  // CallOnce so faults, breakers, and call counts behave exactly as for
-  // point-to-point calls; a target unregistered since the listing simply
-  // reports NotFound.
-  std::vector<std::pair<std::string, common::Result<std::string>>> out;
-  out.reserve(targets.size());
-  for (const std::string& name : targets) {
-    out.emplace_back(name, Status::Unavailable("not dispatched"));
-  }
-  // Resilient dispatch only when the options actually ask for it: the plain
-  // scatter keeps its exact metric footprint (no per-call retry histogram),
-  // so pre-deadline callers and their golden exports are untouched.
-  const bool resilient = options.deadline_us > 0 || options.max_retries > 0;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    tasks.push_back([this, &targets, &out, &request, &options, resilient, i] {
-      if (resilient) {
-        out[i].second = Call(targets[i], request, options);
-      } else {
-        bool breaker_rejected = false;
-        out[i].second = CallOnce(targets[i], request, &breaker_rejected);
-      }
-    });
-  }
-  EnsurePool()->RunAll(&tasks);
-  return out;
-}
-
-VinciBus::ScatterPool* VinciBus::EnsurePool() const {
+MineExecutor* VinciBus::EnsurePool() const {
   common::MutexLock lock(pool_mu_);
-  if (!pool_) pool_ = std::make_unique<ScatterPool>(ScatterThreads());
+  if (!pool_) {
+    MineExecutorOptions options;
+    options.threads = ScatterThreads();
+    options.batch_size = 1;
+    pool_ = std::make_unique<MineExecutor>(options);
+  }
   return pool_.get();
 }
 
@@ -596,24 +431,40 @@ struct HedgeGather {
 }  // namespace
 
 std::vector<std::pair<std::string, common::Result<std::string>>>
-VinciBus::CallAllHedged(const std::string& prefix, const std::string& request,
-                        const CallOptions& options,
-                        const HedgeOptions& hedge) const
+VinciBus::CallAll(const std::string& prefix, const std::string& request,
+                  const CallOptions& options, const HedgeOptions& hedge) const
     WF_NO_THREAD_SAFETY_ANALYSIS {
-  if (!hedge.enabled) return CallAll(prefix, request, options);
-  auto g = std::make_shared<HedgeGather>();
-  g->request = request;
-  g->options = options;
+  std::vector<std::string> targets;
   {
     common::MutexLock lock(mu_);
     for (auto it = services_.lower_bound(prefix);
          it != services_.end() && common::StartsWith(it->first, prefix);
          ++it) {
-      g->targets.push_back(it->first);
+      targets.push_back(it->first);
     }
   }
-  const size_t n = g->targets.size();
-  if (n == 0) return {};
+  // Every attempt goes through Call/CallOnce, so faults, breakers, and call
+  // counts behave exactly as for point-to-point calls; a target
+  // unregistered since the listing simply reports NotFound.
+  const size_t n = targets.size();
+  std::vector<std::pair<std::string, common::Result<std::string>>> out;
+  out.reserve(n);
+  if (!hedge.enabled) {
+    // Scatter over the worker pool — the gather latency is a handful of
+    // round trips at worst, not the sum over nodes, while the thread count
+    // stays bounded however wide the fan-out is.
+    for (const std::string& name : targets) {
+      out.emplace_back(name, Status::Unavailable("not dispatched"));
+    }
+    EnsurePool()->ParallelFor(n, [&](size_t i) {
+      out[i].second = Call(targets[i], request, options);
+    });
+    return out;
+  }
+  auto g = std::make_shared<HedgeGather>();
+  g->request = request;
+  g->options = options;
+  g->targets = std::move(targets);
   g->slots.resize(n);
   g->unresolved = n;
 
@@ -664,7 +515,6 @@ VinciBus::CallAllHedged(const std::string& prefix, const std::string& request,
   const uint64_t start_us = obs::MonotonicNowUs();
   const uint64_t expiry_us =
       options.deadline_us > 0 ? start_us + options.deadline_us : 0;
-  const bool resilient = options.deadline_us > 0 || options.max_retries > 0;
   std::vector<HedgeGather::Plan> plans(n);
   for (size_t i = 0; i < n; ++i) {
     const std::string& target = g->targets[i];
@@ -714,21 +564,20 @@ VinciBus::CallAllHedged(const std::string& prefix, const std::string& request,
     }
   }
 
-  // Primaries run detached (Submit, not RunAll) with the full resilient
-  // semantics — retries, backoff, and breaker feeding exactly as the
-  // unhedged scatter.
-  ScatterPool* pool = EnsurePool();
+  // Primaries run detached (Submit, not ParallelFor, which would make the
+  // coordinator claim a task and sleep through its round trip instead of
+  // watching the clock), with the full resilient semantics — retries,
+  // backoff, and breaker feeding exactly as the unhedged scatter.
+  MineExecutor* pool = EnsurePool();
   for (size_t i = 0; i < n; ++i) {
-    auto primary = [this, g, i, resilient, publish] {
+    auto primary = [this, g, i, publish] {
       {
         common::MutexLock lock(g->mu);
         g->slots[i].primary_start_us = obs::MonotonicNowUs();
       }
       // Wake the coordinator so it can schedule this slot's hedge timer.
       g->cv.notify_all();
-      publish(i,
-              resilient ? Call(g->targets[i], g->request, g->options)
-                        : Call(g->targets[i], g->request),
+      publish(i, Call(g->targets[i], g->request, g->options),
               /*is_hedge=*/false);
     };
     if (plans[i].sick_lane) {
@@ -809,8 +658,6 @@ VinciBus::CallAllHedged(const std::string& prefix, const std::string& request,
     g->cv.wait_for(lock, std::chrono::microseconds(wait_us));
   }
 
-  std::vector<std::pair<std::string, common::Result<std::string>>> out;
-  out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     out.emplace_back(g->targets[i], g->slots[i].result);
   }

@@ -22,9 +22,11 @@ namespace wf::platform {
 
 class FaultInjector;
 class HealthScoreboard;
+class MineExecutor;
 
-// Per-call resilience knobs for VinciBus::Call. Defaults are a single
-// attempt with no deadline — identical to the plain overload.
+// Per-call resilience knobs for VinciBus::Call and CallAll. The defaults,
+// no deadline and no retries, make a plain call: one attempt, and no retry
+// metrics recorded.
 struct CallOptions {
   // Overall budget across all attempts, in microseconds; 0 means none.
   // Exceeding it returns Status::DeadlineExceeded.
@@ -40,7 +42,7 @@ struct CallOptions {
   double backoff_multiplier = 2.0;
 };
 
-// Tail-tolerance knobs for CallAllHedged (DESIGN.md §14). A hedge is a
+// Tail-tolerance knobs for the hedged CallAll (DESIGN.md §14). A hedge is a
 // single re-issue of a straggling scatter call after a delay derived from
 // the target's observed latency distribution (~p95 via the attached
 // HealthScoreboard, `default_delay_us` until it has history). The delay is
@@ -129,10 +131,10 @@ class VinciBus {
   // Quiescing: returns only after every dispatch that may have observed the
   // previous pointer has finished, so the caller may destroy the old
   // injector the moment this returns — hedged scatters leave detached
-  // straggler tasks running past CallAllHedged's return
-  // (cancel-by-ignore), and without the quiesce a straggler could consult
-  // an injector its owner already destroyed. Do not call under sustained
-  // dispatch load from other threads; it waits for an idle instant.
+  // straggler tasks running past CallAll's return (cancel-by-ignore), and
+  // without the quiesce a straggler could consult an injector its owner
+  // already destroyed. Do not call under sustained dispatch load from
+  // other threads; it waits for an idle instant.
   void AttachFaultInjector(FaultInjector* injector);
 
   // Attaches a metrics registry; every dispatch then records per-service
@@ -144,7 +146,7 @@ class VinciBus {
   // Attaches a health scoreboard; every dispatched call then feeds its
   // observed latency and outcome into it (successes, injected faults,
   // corruptions, and in-flight deadline expiries — the gray-failure
-  // signature). CallAllHedged consults it for hedge timing and suspect
+  // signature). The hedged CallAll consults it for hedge timing and suspect
   // judgments. nullptr detaches. Quiescing, like AttachFaultInjector.
   void AttachHealth(HealthScoreboard* health);
 
@@ -170,46 +172,34 @@ class VinciBus {
   // Synchronous request/response; NotFound for unknown services (resolved
   // locally, before any simulated network cost), Unavailable for injected
   // failures / partitions / an open circuit, Corruption for responses that
-  // fail the simulated end-to-end checksum.
-  common::Result<std::string> Call(const std::string& service,
-                                   const std::string& request) const;
-
-  // Resilient variant: retries retryable failures with exponential backoff
-  // and jitter, under an overall deadline (DeadlineExceeded once spent).
+  // fail the simulated end-to-end checksum. With a deadline or retries in
+  // `options`, retryable failures are retried with exponential backoff and
+  // jitter under the overall deadline (DeadlineExceeded once spent).
   common::Result<std::string> Call(const std::string& service,
                                    const std::string& request,
-                                   const CallOptions& options) const;
+                                   const CallOptions& options = {}) const;
 
-  // Fan-out: calls every service whose name starts with `prefix`, returning
-  // per-service Results — the scatter half of scatter/gather queries. A
-  // failed target reports its error instead of poisoning the whole gather,
-  // so callers can tell "node down" from "empty answer". Scatter runs on a
-  // small reusable worker pool (plus the calling thread), so a wide fan-out
-  // under injected latency is bounded, never thread-per-target.
-  std::vector<std::pair<std::string, common::Result<std::string>>> CallAll(
-      const std::string& prefix, const std::string& request) const;
-  // Resilient scatter: each target call runs under `options` (deadline,
-  // retries with backoff), so a straggler shard costs at most the caller's
-  // remaining budget, never an unbounded wait. Default options behave
-  // exactly like the plain overload.
-  std::vector<std::pair<std::string, common::Result<std::string>>> CallAll(
-      const std::string& prefix, const std::string& request,
-      const CallOptions& options) const;
-
-  // Tail-tolerant scatter: like the resilient CallAll, but a straggling
-  // target is re-issued once after a deadline-clamped, health-derived hedge
-  // delay (first success wins, loser ignored), and the gather stops waiting
-  // for a target at the caller's deadline — or earlier for suspect targets
-  // — instead of riding out the straggler's full latency. Hedge attempts
-  // are single-shot and breaker-neutral: they never feed the circuit
-  // breaker, never consume its rejection window, and never count in
+  // Fan-out: calls every service whose name starts with `prefix`, each
+  // under `options` as Call does, returning per-service Results — the
+  // scatter half of scatter/gather queries. A failed target reports its
+  // error instead of poisoning the whole gather, so callers can tell "node
+  // down" from "empty answer", and a straggler costs at most the caller's
+  // deadline. Scatter runs on the bus's bounded worker pool (plus the
+  // calling thread), never thread-per-target.
+  //
+  // With `hedge.enabled`, the scatter is tail-tolerant: a straggling target
+  // is re-issued once after a deadline-clamped, health-derived hedge delay
+  // (first success wins, loser ignored), and the gather stops waiting for a
+  // target at the caller's deadline — or earlier for suspect targets —
+  // instead of riding out the straggler's full latency. Hedge attempts are
+  // single-shot and breaker-neutral: they never feed the circuit breaker,
+  // never consume its rejection window, and never count in
   // `vinci/retry_total` / `vinci/retries_per_call`; their audit trail is
   // `vinci/hedges_total`, `vinci/hedge_wins_total`, and
-  // `vinci/hedge_abandoned_total`. With `hedge.enabled == false` this is
-  // exactly CallAll(prefix, request, options).
-  std::vector<std::pair<std::string, common::Result<std::string>>>
-  CallAllHedged(const std::string& prefix, const std::string& request,
-                const CallOptions& options, const HedgeOptions& hedge) const;
+  // `vinci/hedge_abandoned_total`.
+  std::vector<std::pair<std::string, common::Result<std::string>>> CallAll(
+      const std::string& prefix, const std::string& request,
+      const CallOptions& options = {}, const HedgeOptions& hedge = {}) const;
 
   // Circuit-breaker controls. Config applies to every service on this bus.
   void SetBreakerConfig(const BreakerConfig& config);
@@ -222,7 +212,6 @@ class VinciBus {
   size_t CallCount(const std::string& service) const;
 
  private:
-  class ScatterPool;
   struct Breaker {
     size_t consecutive_failures = 0;
     bool open = false;
@@ -241,7 +230,10 @@ class VinciBus {
                                        const std::string& request,
                                        bool* breaker_rejected,
                                        bool feed_breaker = true) const;
-  ScatterPool* EnsurePool() const WF_EXCLUDES(pool_mu_);
+  // The scatter pool, built on first use: ScatterThreads() workers, and
+  // batch_size 1, because a scatter task sleeps through its round trip and
+  // two of them must never share one claim.
+  MineExecutor* EnsurePool() const WF_EXCLUDES(pool_mu_);
   // RAII over active_dispatches_: every CallOnce body runs inside one, and
   // the guard is entered before any attachment pointer is loaded, so
   // QuiesceDispatches() really does fence off the old pointer.
@@ -280,7 +272,7 @@ class VinciBus {
   mutable std::map<std::string, Breaker> breakers_ WF_GUARDED_BY(breaker_mu_);
 
   mutable common::Mutex pool_mu_;  // guards lazy pool construction
-  mutable std::unique_ptr<ScatterPool> pool_ WF_GUARDED_BY(pool_mu_);
+  mutable std::unique_ptr<MineExecutor> pool_ WF_GUARDED_BY(pool_mu_);
 
   // Backoff-jitter sequence; each draw seeds a fresh wf::common::Rng so
   // concurrent retries stay lock-free and reproducible.

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <set>
 
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "platform/sentiment_miner_plugin.h"
 
 namespace wf::serve {
 
@@ -144,8 +146,7 @@ bool FrontDoor::CacheLookup(const std::string& key, std::string* payload) {
   return false;
 }
 
-void FrontDoor::CacheInsert(const std::string& key, std::string payload,
-                            std::vector<std::string> covered_docs) {
+void FrontDoor::CacheInsert(const std::string& key, std::string payload) {
   if (options_.cache_entries == 0) return;
   const size_t per_stripe =
       std::max<size_t>(1, options_.cache_entries / cache_.size());
@@ -154,7 +155,6 @@ void FrontDoor::CacheInsert(const std::string& key, std::string payload,
   for (CacheEntry& entry : stripe.entries) {
     if (entry.key != key) continue;
     entry.payload = std::move(payload);
-    entry.covered_docs = std::move(covered_docs);
     entry.last_used = ++stripe.tick;
     return;
   }
@@ -169,7 +169,6 @@ void FrontDoor::CacheInsert(const std::string& key, std::string payload,
     *victim = CacheEntry{};
     victim->key = key;
     victim->payload = std::move(payload);
-    victim->covered_docs = std::move(covered_docs);
     victim->last_used = ++stripe.tick;
     Count("serve/cache_evictions_total");
     return;
@@ -177,24 +176,25 @@ void FrontDoor::CacheInsert(const std::string& key, std::string payload,
   CacheEntry entry;
   entry.key = key;
   entry.payload = std::move(payload);
-  entry.covered_docs = std::move(covered_docs);
   entry.last_used = ++stripe.tick;
   stripe.entries.push_back(std::move(entry));
 }
 
-void FrontDoor::InvalidateDocument(const std::string& doc_id) {
+void FrontDoor::InvalidateSubjects(const std::vector<std::string>& subjects) {
+  // One polarity stands for the subject: the token's polarity part is fixed,
+  // so equal tokens mean equal normalized subjects.
+  auto token = [](const std::string& subject) {
+    return platform::SentimentConceptToken(subject,
+                                           lexicon::Polarity::kPositive);
+  };
+  std::set<std::string> tokens;
+  for (const std::string& subject : subjects) tokens.insert(token(subject));
   size_t dropped = 0;
   for (auto& stripe : cache_) {
     common::MutexLock lock(stripe->mu);
-    for (auto it = stripe->entries.begin(); it != stripe->entries.end();) {
-      const auto& docs = it->covered_docs;
-      if (std::find(docs.begin(), docs.end(), doc_id) != docs.end()) {
-        it = stripe->entries.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    dropped += std::erase_if(stripe->entries, [&](const CacheEntry& entry) {
+      return tokens.count(token(entry.key)) > 0;
+    });
   }
   if (dropped > 0) Count("serve/cache_invalidated_total", dropped);
 }
@@ -377,7 +377,7 @@ QueryReply FrontDoor::ExecuteAndPublish(const QueryRequest& request,
   // degraded by faults or deadline truncation, which is what keeps
   // post-overload responses byte-identical to an unloaded run.
   if (result.complete()) {
-    CacheInsert(key, reply.payload, std::move(result.covered_docs));
+    CacheInsert(key, reply.payload);
   }
   PublishFlight(key, flight, reply.status, reply.payload);
   return reply;

@@ -129,8 +129,8 @@ struct QueryReply {
 //   * Identical concurrent queries coalesce onto one upstream execution;
 //     followers receive byte-identical payloads.
 //   * Only complete() results are cached, so a cache hit can never serve
-//     bytes degraded by faults or deadline truncation; entries remember
-//     their covered documents and are invalidated exactly on re-mine.
+//     bytes degraded by faults or deadline truncation; a re-mine
+//     invalidates entries by the subjects whose sentiment it changed.
 //
 // Threading: caller-runs. The front door spawns no threads — callers block
 // (deadline-bounded) in admission and execute their own queries, so
@@ -156,10 +156,14 @@ class FrontDoor {
   //             payload=<rendered answer>  (on success)
   common::Status RegisterService();
 
-  // Cache invalidation. InvalidateDocument drops exactly the entries whose
-  // answers covered `doc_id`; InvalidateAll clears everything (the blunt
-  // hook for a full re-mine).
-  void InvalidateDocument(const std::string& doc_id);
+  // Cache invalidation. InvalidateSubjects drops every entry whose subject
+  // names the same sentiment concept tokens as one of `subjects` (the index
+  // normalization, platform::SentimentConceptToken: "KODAK" and "kodak"
+  // read the same postings), so a re-mine that adds or removes a subject's
+  // mentions — including in a document no cached answer read — cannot
+  // leave a stale answer. InvalidateAll clears everything (the blunt hook
+  // for a full re-mine).
+  void InvalidateSubjects(const std::vector<std::string>& subjects);
   void InvalidateAll();
 
   // Overrides the default quota for one tenant (takes effect on its next
@@ -186,11 +190,11 @@ class FrontDoor {
   };
 
   // Lock-striped LRU result cache: small striped vectors, linear scan, LRU
-  // tick per stripe.
+  // tick per stripe. Keys are the caller's raw subject, because the payload
+  // echoes its spelling.
   struct CacheEntry {
     std::string key;
     std::string payload;
-    std::vector<std::string> covered_docs;
     uint64_t last_used = 0;
   };
   struct CacheStripe {
@@ -208,8 +212,7 @@ class FrontDoor {
 
   CacheStripe& StripeFor(const std::string& key);
   bool CacheLookup(const std::string& key, std::string* payload);
-  void CacheInsert(const std::string& key, std::string payload,
-                   std::vector<std::string> covered_docs);
+  void CacheInsert(const std::string& key, std::string payload);
 
   // Token-bucket check; on refusal returns false and sets *retry_after_us.
   bool QuotaAdmit(const std::string& tenant, uint64_t* retry_after_us);

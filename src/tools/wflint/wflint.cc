@@ -1139,10 +1139,10 @@ void CheckPlatformRawThread(const SourceFile& file,
                             const std::vector<std::string>& lines,
                             std::vector<Violation>* out) {
   // Platform and core code must schedule work through the shared pool
-  // types (MineExecutor, VinciBus::ScatterPool): an ad-hoc std::thread or
-  // std::async spawns unbounded concurrency that the executor's worker cap,
-  // utilization gauges, and determinism contract never see. The pool
-  // implementations themselves carry an allow() suppression.
+  // type (MineExecutor): an ad-hoc std::thread or std::async spawns
+  // unbounded concurrency that the executor's worker cap, utilization
+  // gauges, and determinism contract never see. The pool implementation
+  // itself, and the bus's sick lane, carry an allow() suppression.
   if (file.path.find("platform/") == std::string::npos &&
       file.path.find("core/") == std::string::npos) {
     return;
@@ -1154,9 +1154,8 @@ void CheckPlatformRawThread(const SourceFile& file,
     out->push_back({file.path, i + 1, "platform-raw-thread",
                     "raw std::" + m[1].str() +
                         " in platform/core code; schedule through the shared "
-                        "pool types (MineExecutor, VinciBus::ScatterPool) so "
-                        "concurrency stays bounded and observable "
-                        "(DESIGN.md §10)"});
+                        "pool type (MineExecutor) so concurrency stays "
+                        "bounded and observable (DESIGN.md §10)"});
   }
 }
 
@@ -1201,7 +1200,8 @@ void CheckServingUnboundedWait(const FileModel& fm,
   // without a bound — an untimed cv wait, a sleep, a bus call with no
   // deadline — is a request that can hang instead of shedding. Every wait
   // there must be wait_for/wait_until under the request's remaining
-  // budget, and every bus call must carry CallOptions/a deadline.
+  // budget, and every bus call must carry CallOptions/a deadline: Call and
+  // CallAll both default theirs to none, so a call that omits it compiles.
   if (fm.layer != "serve") return;
   static const std::regex kUntimedWaitRe(R"(\.\s*wait\s*\()");
   static const std::regex kSleepRe(R"(\bsleep_(for|until)\s*\()");
@@ -1375,7 +1375,7 @@ const std::vector<RuleInfo>& Rules() {
        "instead of the durable-file layer"},
       {"platform-raw-thread",
        "raw std::thread/std::async in platform or core code instead of the "
-       "shared pool types"},
+       "shared pool type"},
       {"layering",
        "#include edge that crosses the src/ layering DAG (DESIGN.md §11)"},
       {"guarded-by",

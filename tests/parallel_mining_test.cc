@@ -3,10 +3,14 @@
 // byte-identical to the sequential one at every thread count, including
 // under injected miner faults and after a crash/Recover() cycle.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -161,6 +165,32 @@ TEST(MineExecutorTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(32, [&](size_t) { inner_runs.fetch_add(1); });
   });
   EXPECT_EQ(inner_runs.load(), 8u * 32u);
+}
+
+TEST(MineExecutorTest, SubmittedTasksRunOnWorkersAndMayNestParallelFor) {
+  // A submitted task never runs on the submitting thread, and one that
+  // scatters again on the same pool drains its own nested batch: with a
+  // single worker, every task's inner runs still finish.
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t inner_runs = 0;  // guarded by mu
+  std::atomic<int> on_submitter{0};
+  const std::thread::id submitter = std::this_thread::get_id();
+  // Declared last, so it is joined before the state its tasks touch goes.
+  MineExecutor pool(MineExecutorOptions{.threads = 1});
+  for (int task = 0; task < 4; ++task) {
+    pool.Submit([&] {
+      if (std::this_thread::get_id() == submitter) on_submitter.fetch_add(1);
+      pool.ParallelFor(8, [&](size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (++inner_runs == 32) done_cv.notify_all();
+      });
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  EXPECT_TRUE(done_cv.wait_for(lock, std::chrono::seconds(30),
+                               [&] { return inner_runs == 32; }));
+  EXPECT_EQ(on_submitter.load(), 0);
 }
 
 TEST(MineExecutorTest, ResolveThreadsClampsToSupportedRange) {

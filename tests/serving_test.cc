@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "platform/cluster.h"
 #include "platform/deadline.h"
 #include "platform/fault.h"
+#include "platform/health.h"
 #include "platform/ingest.h"
 #include "platform/query_service.h"
 #include "platform/sentiment_miner_plugin.h"
@@ -222,7 +224,7 @@ TEST(SlowNodeTest, JitterRidesOnTopOfTheRamp) {
 // --- Front-door fixtures -----------------------------------------------------
 
 // Two-subject corpus: Kodak documents and Xerox documents are disjoint, so
-// cache-invalidation exactness is observable (dropping a Kodak doc must not
+// cache-invalidation exactness is observable (invalidating Kodak must not
 // evict the Xerox answer).
 void BuildServingCluster(Cluster* cluster,
                          const lexicon::SentimentLexicon* lexicon,
@@ -380,13 +382,8 @@ TEST(FrontDoorCoalescingTest, ConcurrentIdenticalQueriesExecuteOnce) {
 
 // --- Result cache ------------------------------------------------------------
 
-TEST(FrontDoorCacheTest, InvalidationIsExactToTheCoveredDocuments) {
+TEST(FrontDoorCacheTest, InvalidationIsExactToTheNamedSubjects) {
   ServingHarness h;
-  // The exact read set of the Kodak answer, from the query service itself.
-  SentimentQueryResult kodak = h.service.Query("Kodak");
-  ASSERT_TRUE(kodak.complete());
-  ASSERT_FALSE(kodak.covered_docs.empty());
-
   QueryRequest kodak_request;
   kodak_request.subject = "Kodak";
   QueryRequest xerox_request;
@@ -397,23 +394,59 @@ TEST(FrontDoorCacheTest, InvalidationIsExactToTheCoveredDocuments) {
   EXPECT_TRUE(h.door->Query(kodak_request).cache_hit);  // cached now
   EXPECT_TRUE(h.door->Query(xerox_request).cache_hit);
 
-  // Re-mining one Kodak document drops exactly the Kodak entry: the next
-  // Kodak query re-executes, the Xerox answer stays cached.
-  h.door->InvalidateDocument(kodak.covered_docs.front());
-  EXPECT_GE(h.Metric("serve/cache_invalidated_total"), 1u);
+  // Invalidating a subject drops exactly its entry, matched through the
+  // index's normalization: "KODAK" names the cached "Kodak" answer, and
+  // the Xerox answer stays cached.
+  h.door->InvalidateSubjects({"KODAK"});
+  EXPECT_EQ(h.Metric("serve/cache_invalidated_total"), 1u);
   EXPECT_FALSE(h.door->Query(kodak_request).cache_hit);
   EXPECT_TRUE(h.door->Query(xerox_request).cache_hit);
 
-  // A document no answer covered invalidates nothing.
-  const uint64_t invalidated = h.Metric("serve/cache_invalidated_total");
-  h.door->InvalidateDocument("no-such-doc");
-  EXPECT_EQ(h.Metric("serve/cache_invalidated_total"), invalidated);
+  // A subject no cached answer names invalidates nothing.
+  h.door->InvalidateSubjects({"Polaroid"});
+  EXPECT_EQ(h.Metric("serve/cache_invalidated_total"), 1u);
   EXPECT_TRUE(h.door->Query(kodak_request).cache_hit);
 
   // The blunt hook: a full re-mine clears everything.
   h.door->InvalidateAll();
   EXPECT_FALSE(h.door->Query(kodak_request).cache_hit);
   EXPECT_FALSE(h.door->Query(xerox_request).cache_hit);
+}
+
+// A re-mine that adds a matching document must not leave a cached answer
+// stale, neither one whose subject already had hits (Kodak) nor one that
+// had none (Polaroid). The new documents are in no cached answer's read
+// set, and a no-hit answer read no document at all, so only invalidation
+// by subject reaches both entries.
+TEST(FrontDoorCacheTest, RemineInvalidatesNewlyMatchingSubjects) {
+  ServingHarness h;
+  auto ask = [&h](const std::string& subject) {
+    QueryRequest request;
+    request.subject = subject;
+    return h.door->Query(request);
+  };
+  auto positive_docs = [](const QueryReply& reply) {
+    return platform::GetMessageField(reply.payload, "positive_docs");
+  };
+  EXPECT_EQ(positive_docs(ask("Kodak")), "4");
+  EXPECT_EQ(positive_docs(ask("Polaroid")), "0");
+  EXPECT_FALSE(ask("Xerox").cache_hit);
+  EXPECT_TRUE(ask("Polaroid").cache_hit);
+
+  BatchIngestor ingestor(
+      "serving", {{"k-new", "Kodak impresses everyone who tried it."},
+                  {"p-new", "Polaroid impresses everyone who tried it."}});
+  ASSERT_EQ(IngestAll(ingestor, h.cluster), 2u);
+  h.cluster.MineAndIndexAll();
+  h.door->InvalidateSubjects({"Kodak", "Polaroid"});
+
+  const QueryReply kodak = ask("Kodak");
+  EXPECT_FALSE(kodak.cache_hit);
+  EXPECT_EQ(positive_docs(kodak), "5");
+  const QueryReply polaroid = ask("Polaroid");
+  EXPECT_FALSE(polaroid.cache_hit);
+  EXPECT_EQ(positive_docs(polaroid), "1");
+  EXPECT_TRUE(ask("Xerox").cache_hit);
 }
 
 TEST(FrontDoorCacheTest, DegradedResultsAreNeverCached) {
@@ -762,6 +795,52 @@ TEST(HedgingWinTest, HedgeWinsAreCountedAndTripwireStaysZero) {
   EXPECT_EQ(snap.CounterValue("vinci/deadline_expired_handler_runs_total"),
             0u);
   cluster.bus().AttachFaultInjector(nullptr);
+}
+
+// --- Hedged scatter: teardown against the sick lane ---------------------------
+
+// A suspect target's primary runs on a detached sick-lane thread that
+// Shutdown does not join; Shutdown only waits for the bus's in-flight
+// dispatch count to reach zero. Destroying the bus around the moment such
+// an abandoned primary returns must be safe: the last dispatch guard out
+// notifies under the bus's lock and touches the bus no more after its
+// unlock. The unsafe window is a few instructions wide, so this asserts
+// teardown safety only; the sanitizer builds report a breach.
+TEST(HedgingLifetimeTest, DestroyingTheBusAsASickLanePrimaryFinishes) {
+  constexpr uint64_t kDeadlineUs = 50000;
+  for (int round = 0; round < 20; ++round) {
+    platform::HealthScoreboard health;
+    auto bus = std::make_unique<VinciBus>();
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "node/" + std::to_string(i) + "/search";
+      const bool sick = i == 3;
+      WF_CHECK_OK(bus->RegisterService(name, [sick](const std::string&) {
+        if (sick) std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        return std::string("ok=1");
+      }));
+      // node/3 is suspect, with a latency EWMA already past the deadline,
+      // so the gather abandons it early and its primary finishes detached.
+      for (int sample = 0; sample < 16; ++sample) {
+        health.RecordCall(name, sick ? 4 * kDeadlineUs : 100, true);
+      }
+    }
+    ASSERT_TRUE(health.Suspect("node/3/search"));
+    bus->AttachHealth(&health);
+
+    platform::HedgeOptions hedge;
+    hedge.enabled = true;
+    CallOptions options;
+    options.deadline_us = kDeadlineUs;
+    const auto replies = bus->CallAll("node/", "q=x", options, hedge);
+    ASSERT_EQ(replies.size(), 4u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(replies[i].second.ok()) << replies[i].first;
+    }
+    // Stagger teardown across the sick primary's round trip, so some rounds
+    // destroy the bus just as the sick-lane thread leaves its dispatch.
+    std::this_thread::sleep_for(std::chrono::microseconds(150 * round));
+    bus.reset();
+  }
 }
 
 // --- AIMD adaptive concurrency -----------------------------------------------

@@ -323,6 +323,14 @@ TEST(ServingUnboundedWaitTest, FlagsUntimedWaitSleepAndDeadlinelessCall) {
                   "  if (!r.ok()) return;\n"
                   "}\n"),
       "serving-unbounded-wait"));
+  // So can a scatter that leaves CallAll's options at their default.
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/serve/front_door.cc",
+                  "void Scatter(VinciBus& bus) {\n"
+                  "  auto r = bus.CallAll(\"node/\", req);\n"
+                  "  Gather(r);\n"
+                  "}\n"),
+      "serving-unbounded-wait"));
 }
 
 TEST(ServingUnboundedWaitTest, QuietOnBoundedWaitsAndDeadlinedCalls) {
@@ -341,6 +349,14 @@ TEST(ServingUnboundedWaitTest, QuietOnBoundedWaitsAndDeadlinedCalls) {
                   "void Fetch(VinciBus* bus, const CallOptions& options) {\n"
                   "  auto r = bus->Call(\"node/0/fetch\", req, options);\n"
                   "  if (!r.ok()) return;\n"
+                  "}\n"),
+      "serving-unbounded-wait"));
+  // So is a hedged scatter that passes its options.
+  EXPECT_FALSE(HasRule(
+      LintSnippet("src/serve/front_door.cc",
+                  "void Scatter(VinciBus& bus, const CallOptions& options) {\n"
+                  "  auto r = bus.CallAll(\"node/\", req, options, hedge);\n"
+                  "  Gather(r);\n"
                   "}\n"),
       "serving-unbounded-wait"));
   // Identical code outside src/serve belongs to other rules.
@@ -480,7 +496,7 @@ TEST(PlatformRawThreadTest, FlagsRawThreadAndAsyncInPlatformAndCore) {
 }
 
 TEST(PlatformRawThreadTest, IgnoresPoolTypesAndOtherLayers) {
-  // Scheduling through the shared pool types is the sanctioned path.
+  // Scheduling through the shared pool type is the sanctioned path.
   EXPECT_FALSE(HasRule(
       LintSnippet("src/platform/cluster.cc",
                   "void Run(MineExecutor* pool) {\n"
