@@ -70,7 +70,7 @@ int main() {
     const std::string& product = product_of_set[spots[0].synset_id];
     doc_product[doc.id] = product;
     ++pages[product];
-    miner.ProcessDocument(doc.id, doc.body, &store);
+    miner.ProcessDocument(doc.id, *core::AnalyzeDocument(doc.body), &store);
   }
   std::set<std::string> seen;  // one count per (product, feature, page)
   for (const std::string& f : kFeatures) {

@@ -35,7 +35,7 @@ int main() {
 
   core::SentimentStore store;
   for (const corpus::GeneratedDoc& doc : pharma.docs) {
-    miner.ProcessDocument(doc.id, doc.body, &store);
+    miner.ProcessDocument(doc.id, *core::AnalyzeDocument(doc.body), &store);
   }
 
   std::printf("%s", eval::Banner("Figure 4 — per-product sentiment roll-up "

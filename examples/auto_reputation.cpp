@@ -65,7 +65,7 @@ int main() {
   // Step 3: mine the corpus.
   core::SentimentStore store;
   for (const corpus::GeneratedDoc& d : camera.d_plus) {
-    miner.ProcessDocument(d.id, d.body, &store);
+    miner.ProcessDocument(d.id, *core::AnalyzeDocument(d.body), &store);
   }
   std::printf("Mined %zu sentiment mentions across %zu pages.\n\n",
               store.size(), camera.d_plus.size());

@@ -52,7 +52,7 @@ int main() {
 
   core::SentimentStore store;
   for (const corpus::GeneratedDoc& doc : camera.d_plus) {
-    miner.ProcessDocument(doc.id, doc.body, &store);
+    miner.ProcessDocument(doc.id, *core::AnalyzeDocument(doc.body), &store);
   }
   std::printf("Mined %zu review pages -> %zu sentiment mentions.\n\n",
               camera.d_plus.size(), store.size());

@@ -14,9 +14,8 @@ namespace wf::common {
 // everything a LinguisticAnalysis needs — the body copy its token views
 // slice, interned lemmas, clitic forms — is carved out of a handful of
 // geometrically growing blocks and released in O(1) when the artifact dies.
-// Not thread-safe: one arena belongs to one analysis, which is built by one
-// worker and immutable afterwards (concurrent *reads* of arena-owned bytes
-// are safe because nothing mutates after construction).
+// Not thread-safe: one arena belongs to one analysis, which one thread owns
+// (its entity's miner chain) for its whole life.
 class Arena {
  public:
   Arena() = default;
@@ -63,8 +62,7 @@ class Arena {
 // that compares equal to the input, and two equal inputs share one copy.
 // The hash set's nodes live on the normal heap (bounded by the number of
 // distinct strings, typically tiny per document); the bytes live in the
-// arena. Same thread-safety story as Arena: build single-threaded, read
-// from anywhere.
+// arena. Same thread-safety story as Arena: one owning thread.
 class StringInterner {
  public:
   explicit StringInterner(Arena* arena) : arena_(arena) {}

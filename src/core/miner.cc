@@ -1,7 +1,6 @@
 #include "core/miner.h"
 
 #include "common/arena.h"
-#include "common/string_util.h"
 
 namespace wf::core {
 
@@ -33,7 +32,6 @@ SentimentMiner::SentimentMiner(const lexicon::SentimentLexicon* lexicon,
                                const lexicon::PatternDatabase* patterns,
                                const Config& config)
     : lexicon_(lexicon),
-      patterns_(patterns),
       config_(config),
       analyzer_(lexicon, patterns, config.analyzer),
       context_builder_(config.context) {}
@@ -47,24 +45,10 @@ void SentimentMiner::AddTopicTerms(const spot::TopicTermSet& topic) {
 }
 
 void SentimentMiner::ProcessDocument(const std::string& doc_id,
-                                     const std::string& body,
+                                     LinguisticAnalysis& analysis,
                                      SentimentStore* store) {
-  text::TokenStream tokens = tokenizer_.Tokenize(body);
-  std::vector<text::SentenceSpan> spans = splitter_.Split(tokens);
-  MineTokens(doc_id, tokens, spans, nullptr, store);
-}
-
-void SentimentMiner::ProcessDocument(const std::string& doc_id,
-                                     const LinguisticAnalysis& analysis,
-                                     SentimentStore* store) {
-  MineTokens(doc_id, analysis.tokens, analysis.sentences, &analysis, store);
-}
-
-void SentimentMiner::MineTokens(const std::string& doc_id,
-                                const text::TokenStream& tokens,
-                                const std::vector<text::SentenceSpan>& spans,
-                                const LinguisticAnalysis* analysis,
-                                SentimentStore* store) {
+  const text::TokenStream& tokens = analysis.tokens;
+  const std::vector<text::SentenceSpan>& spans = analysis.sentences;
   std::vector<spot::SubjectSpot> spots = spotter_.Spot(tokens);
   if (spots.empty()) return;
 
@@ -84,46 +68,13 @@ void SentimentMiner::MineTokens(const std::string& doc_id,
     on_topic = spots;
   }
 
-  // Per-sentence clause parses are cached: several spots often share a
-  // sentence. With a precomputed artifact the parses are already there.
-  // The arena backs any parse built locally (fallback path and fragment
-  // attribution); declared before the parse vectors so it outlives their
-  // string_views.
-  common::Arena parse_arena;
-  common::StringInterner parse_interner(&parse_arena);
-  std::vector<int> parse_of_sentence(spans.size(), -1);
-  std::vector<std::vector<parse::SentenceParse>> parses;
-
   for (const spot::SubjectSpot& spot : on_topic) {
     SentimentContext ctx;
     if (!context_builder_.Build(spans, spot.begin_token, &ctx)) continue;
 
-    const std::vector<parse::SentenceParse>* clauses_ptr;
-    if (analysis != nullptr) {
-      clauses_ptr = &analysis->sentence_clauses[ctx.sentence_index];
-    } else {
-      int& cached = parse_of_sentence[ctx.sentence_index];
-      if (cached < 0) {
-        std::vector<pos::PosTag> tags =
-            tagger_.TagSentence(tokens, ctx.sentence);
-        parses.push_back(sentence_analyzer_.AnalyzeClauses(
-            tokens, ctx.sentence, tags, &parse_interner));
-        cached = static_cast<int>(parses.size()) - 1;
-      }
-      clauses_ptr = &parses[static_cast<size_t>(cached)];
-    }
-    const std::vector<parse::SentenceParse>& clauses = *clauses_ptr;
-    const parse::SentenceParse* parse_ptr = &clauses.front();
-    for (const parse::SentenceParse& clause : clauses) {
-      if (spot.begin_token >= clause.span.begin_token &&
-          spot.begin_token < clause.span.end_token) {
-        parse_ptr = &clause;
-        break;
-      }
-    }
-
     SubjectSentiment verdict = analyzer_.AnalyzeSubject(
-        tokens, *parse_ptr, spot.begin_token, spot.end_token);
+        tokens, analysis.ClauseAt(ctx.sentence_index, spot.begin_token),
+        spot.begin_token, spot.end_token);
 
     // Context-window fragment attribution ("I bought it in May. Big
     // mistake."): a short verbless follow-up carries the sentiment.
@@ -132,13 +83,14 @@ void SentimentMiner::MineTokens(const std::string& doc_id,
         ctx.sentence_index + 1 < spans.size()) {
       const text::SentenceSpan& next = spans[ctx.sentence_index + 1];
       if (next.size() <= 6) {
-        std::vector<pos::PosTag> frag_tags =
-            analysis != nullptr
-                ? analysis->sentence_tags[ctx.sentence_index + 1]
-                : tagger_.TagSentence(tokens, next);
-        parse::SentenceParse frag =
-            sentence_analyzer_.Analyze(tokens, next, frag_tags,
-                                       &parse_interner);
+        // The rule asks whether the whole fragment has a predicate, so it
+        // parses the fragment as one clause rather than reading the
+        // artifact's clause split.
+        common::Arena frag_arena;
+        common::StringInterner frag_interner(&frag_arena);
+        parse::SentenceParse frag = sentence_analyzer_.Analyze(
+            tokens, next, analysis.Tags(ctx.sentence_index + 1),
+            &frag_interner);
         if (frag.predicate_chunk < 0) {
           PhraseSentimentScorer scorer(lexicon_);
           Polarity p = scorer.Score(tokens, frag, next.begin_token,
@@ -176,59 +128,22 @@ void SentimentMiner::MineTokens(const std::string& doc_id,
 AdHocSentimentMiner::AdHocSentimentMiner(
     const lexicon::SentimentLexicon* lexicon,
     const lexicon::PatternDatabase* patterns, const Config& config)
-    : lexicon_(lexicon),
-      patterns_(patterns),
-      config_(config),
-      analyzer_(lexicon, patterns, config.analyzer),
-      ner_(config.ner) {}
+    : analyzer_(lexicon, patterns, config.analyzer), ner_(config.ner) {}
 
 void AdHocSentimentMiner::ProcessDocument(const std::string& doc_id,
-                                          const std::string& body,
-                                          SentimentStore* store) {
-  text::TokenStream tokens = tokenizer_.Tokenize(body);
-  std::vector<text::SentenceSpan> spans = splitter_.Split(tokens);
-  MineTokens(doc_id, tokens, spans, nullptr, store);
-}
-
-void AdHocSentimentMiner::ProcessDocument(const std::string& doc_id,
-                                          const LinguisticAnalysis& analysis,
+                                          LinguisticAnalysis& analysis,
                                           SentimentStore* store) const {
-  MineTokens(doc_id, analysis.tokens, analysis.sentences, &analysis, store);
-}
-
-void AdHocSentimentMiner::MineTokens(
-    const std::string& doc_id, const text::TokenStream& tokens,
-    const std::vector<text::SentenceSpan>& spans,
-    const LinguisticAnalysis* analysis, SentimentStore* store) const {
+  const text::TokenStream& tokens = analysis.tokens;
+  const std::vector<text::SentenceSpan>& spans = analysis.sentences;
   for (size_t s = 0; s < spans.size(); ++s) {
     const text::SentenceSpan& span = spans[s];
     std::vector<ner::NamedEntity> entities = ner_.SpotSentence(tokens, span);
     if (entities.empty()) continue;
 
-    // Fallback-path parses intern into a sentence-local arena; `computed`
-    // (declared after) is destroyed first, so the views never dangle.
-    common::Arena parse_arena;
-    common::StringInterner parse_interner(&parse_arena);
-    std::vector<parse::SentenceParse> computed;
-    if (analysis == nullptr) {
-      std::vector<pos::PosTag> tags = tagger_.TagSentence(tokens, span);
-      computed =
-          sentence_analyzer_.AnalyzeClauses(tokens, span, tags, &parse_interner);
-    }
-    const std::vector<parse::SentenceParse>& clauses =
-        analysis != nullptr ? analysis->sentence_clauses[s] : computed;
-
     for (const ner::NamedEntity& e : entities) {
-      const parse::SentenceParse* parse_ptr = &clauses.front();
-      for (const parse::SentenceParse& clause : clauses) {
-        if (e.begin_token >= clause.span.begin_token &&
-            e.begin_token < clause.span.end_token) {
-          parse_ptr = &clause;
-          break;
-        }
-      }
       SubjectSentiment verdict = analyzer_.AnalyzeSubject(
-          tokens, *parse_ptr, e.begin_token, e.end_token);
+          tokens, analysis.ClauseAt(s, e.begin_token), e.begin_token,
+          e.end_token);
       if (verdict.polarity == Polarity::kNeutral) continue;
 
       SentimentMention m;

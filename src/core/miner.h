@@ -11,18 +11,18 @@
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
 #include "ner/named_entity_spotter.h"
-#include "pos/tagger.h"
+#include "parse/sentence_structure.h"
 #include "spot/disambiguator.h"
 #include "spot/spotter.h"
 #include "spot/tfidf.h"
-#include "text/sentence_splitter.h"
-#include "text/tokenizer.h"
 
 namespace wf::core {
 
 // Mode A (Figure 2): sentiment mining with a predefined set of subjects.
-// Pipeline per document: tokenize -> sentence-split -> spot subjects ->
-// disambiguate -> build sentiment context -> parse -> analyze -> store.
+// Pipeline per document: spot subjects -> disambiguate -> build sentiment
+// context -> parse the subject's sentence -> analyze -> store. Tokens,
+// sentences and parses come from the document's LinguisticAnalysis, which
+// parses only the sentences the miner asks for.
 class SentimentMiner {
  public:
   struct Config {
@@ -55,33 +55,18 @@ class SentimentMiner {
   // miner builds stats incrementally from the processed documents.
   void SetCorpusStats(const spot::CorpusStats* stats) { external_stats_ = stats; }
 
-  // Mines one document, appending mentions to `store`.
-  void ProcessDocument(const std::string& doc_id, const std::string& body,
-                       SentimentStore* store);
-  // Same, over a precomputed linguistic-analysis artifact (must describe
-  // the document's body) — skips re-tokenizing/tagging/parsing. Results
-  // are byte-identical to the body-based overload.
-  void ProcessDocument(const std::string& doc_id,
-                       const LinguisticAnalysis& analysis,
+  // Mines one document (`analysis` describes its body), appending
+  // mentions to `store`.
+  void ProcessDocument(const std::string& doc_id, LinguisticAnalysis& analysis,
                        SentimentStore* store);
 
   const Config& config() const { return config_; }
 
  private:
-  // Shared implementation: `analysis` is null on the body-based path
-  // (parses are then computed lazily per touched sentence).
-  void MineTokens(const std::string& doc_id, const text::TokenStream& tokens,
-                  const std::vector<text::SentenceSpan>& spans,
-                  const LinguisticAnalysis* analysis, SentimentStore* store);
-
   const lexicon::SentimentLexicon* lexicon_;
-  const lexicon::PatternDatabase* patterns_;
   Config config_;
 
-  text::Tokenizer tokenizer_;
-  text::SentenceSplitter splitter_;
-  pos::PosTagger tagger_;
-  parse::SentenceAnalyzer sentence_analyzer_;
+  parse::SentenceAnalyzer sentence_analyzer_;  // fragment attribution only
   SentimentAnalyzer analyzer_;
   ContextBuilder context_builder_;
   spot::Spotter spotter_;
@@ -108,32 +93,15 @@ class AdHocSentimentMiner {
                       const lexicon::PatternDatabase* patterns,
                       const Config& config);
 
-  // Mines one document; every named entity in a sentence becomes a subject
-  // candidate. Only non-neutral results are recorded (the index stores
-  // sentiment-bearing occurrences).
-  void ProcessDocument(const std::string& doc_id, const std::string& body,
-                       SentimentStore* store);
-  // Same, over a precomputed linguistic-analysis artifact (must describe
-  // the document's body). Stateless across documents, so safe to call
-  // concurrently for distinct documents.
-  void ProcessDocument(const std::string& doc_id,
-                       const LinguisticAnalysis& analysis,
+  // Mines one document (`analysis` describes its body); every named entity
+  // in a sentence becomes a subject candidate, and only sentences holding
+  // one are parsed. Only non-neutral results are recorded (the index
+  // stores sentiment-bearing occurrences). Stateless across documents, so
+  // safe to call concurrently for distinct documents.
+  void ProcessDocument(const std::string& doc_id, LinguisticAnalysis& analysis,
                        SentimentStore* store) const;
 
  private:
-  void MineTokens(const std::string& doc_id, const text::TokenStream& tokens,
-                  const std::vector<text::SentenceSpan>& spans,
-                  const LinguisticAnalysis* analysis,
-                  SentimentStore* store) const;
-
-  const lexicon::SentimentLexicon* lexicon_;
-  const lexicon::PatternDatabase* patterns_;
-  Config config_;
-
-  text::Tokenizer tokenizer_;
-  text::SentenceSplitter splitter_;
-  pos::PosTagger tagger_;
-  parse::SentenceAnalyzer sentence_analyzer_;
   SentimentAnalyzer analyzer_;
   ner::NamedEntitySpotter ner_;
 };

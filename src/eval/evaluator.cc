@@ -1,7 +1,10 @@
 #include "eval/evaluator.h"
 
+#include <memory>
+
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/analysis.h"
 #include "text/inflection.h"
 
 namespace wf::eval {
@@ -56,38 +59,18 @@ Confusion GoldEvaluator::EvaluateMiner(const std::vector<GeneratedDoc>& docs,
   core::SentimentAnalyzer analyzer(&lexicon_, &patterns_, options.analyzer);
   Confusion confusion;
   for (const GeneratedDoc& doc : docs) {
-    text::TokenStream tokens = tokenizer_.Tokenize(doc.body);
-    std::vector<text::SentenceSpan> spans = splitter_.Split(tokens);
-    // Clause parses are cached per sentence. Their interned strings live in
-    // a per-document arena declared ahead of `parses` so the views outlive
-    // the parse objects.
-    common::Arena arena;
-    common::StringInterner interner(&arena);
-    std::vector<int> cached(spans.size(), -1);
-    std::vector<std::vector<parse::SentenceParse>> parses;
+    std::unique_ptr<core::LinguisticAnalysis> analysis =
+        core::AnalyzeDocument(doc.body);
+    const text::TokenStream& tokens = analysis->tokens;
     for (const SpotGold& gold : doc.golds) {
       if (options.skip_i_class && gold.i_class) continue;
-      if (gold.sentence_index >= spans.size()) continue;
-      const text::SentenceSpan& span = spans[gold.sentence_index];
+      if (gold.sentence_index >= analysis->sentences.size()) continue;
+      const text::SentenceSpan& span =
+          analysis->sentences[gold.sentence_index];
       size_t begin = 0, end = 0;
       if (!LocateSubject(tokens, span, gold.subject, &begin, &end)) continue;
-      int& slot = cached[gold.sentence_index];
-      if (slot < 0) {
-        std::vector<pos::PosTag> tags = tagger_.TagSentence(tokens, span);
-        parses.push_back(
-            sentence_analyzer_.AnalyzeClauses(tokens, span, tags, &interner));
-        slot = static_cast<int>(parses.size()) - 1;
-      }
-      const auto& clauses = parses[static_cast<size_t>(slot)];
-      const parse::SentenceParse* clause = &clauses.front();
-      for (const parse::SentenceParse& c : clauses) {
-        if (begin >= c.span.begin_token && begin < c.span.end_token) {
-          clause = &c;
-          break;
-        }
-      }
-      core::SubjectSentiment verdict =
-          analyzer.AnalyzeSubject(tokens, *clause, begin, end);
+      core::SubjectSentiment verdict = analyzer.AnalyzeSubject(
+          tokens, analysis->ClauseAt(gold.sentence_index, begin), begin, end);
       confusion.Add(gold.polarity, verdict.polarity);
       if (breakdown != nullptr) {
         breakdown->by_class[gold.template_class].Add(gold.polarity,

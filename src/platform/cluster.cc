@@ -12,8 +12,6 @@ namespace wf::platform {
 
 using ::wf::common::Status;
 
-void ClusterNode::MineAndIndex() { MineAndIndex(nullptr); }
-
 void ClusterNode::MineAndIndex(MineExecutor* executor) {
   obs::ScopedTimer timer(metrics_.GetHistogram(
       "node/mine_and_index_us", obs::DefaultLatencyBoundsUs(),
@@ -452,15 +450,6 @@ SearchResult Cluster::TracedSearch(
                  common::StrFormat("%zu", result.nodes_responded));
   }
   return result;
-}
-
-SearchResult Cluster::Search(const std::string& term) const {
-  return Search(term, Deadline::Infinite());
-}
-
-SearchResult Cluster::SearchPhrase(
-    const std::vector<std::string>& words) const {
-  return SearchPhrase(words, Deadline::Infinite());
 }
 
 SearchResult Cluster::Search(const std::string& term,

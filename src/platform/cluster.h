@@ -62,8 +62,7 @@ class ClusterNode {
   // in sorted-id order (deterministic sweep, DESIGN.md §10). With an
   // executor, per-entity mining is scheduled across its workers; output is
   // byte-identical to the sequential sweep.
-  void MineAndIndex();
-  void MineAndIndex(MineExecutor* executor);
+  void MineAndIndex(MineExecutor* executor = nullptr);
 
   // Registers this node's services on the bus.
   common::Status RegisterServices(VinciBus* bus);
@@ -239,19 +238,17 @@ class Cluster {
   MineExecutor& mining_executor() { return *executor_; }
 
   // Scatter/gather term or concept search over all node services. Nodes
-  // that fail are tolerated; the result reports how many responded.
-  SearchResult Search(const std::string& term) const;
-  SearchResult SearchPhrase(const std::vector<std::string>& words) const;
-
-  // Deadline-bounded variants: the caller's remaining end-to-end budget
-  // rides the scattered request (wf-deadline-us, next to the trace context
-  // fields) and caps every per-node call, so a straggler shard can degrade
-  // coverage but never stall the gather past the deadline. An
-  // already-expired deadline fails every shard up front — zero downstream
-  // dispatches — instead of scattering work nobody will wait for.
-  SearchResult Search(const std::string& term, const Deadline& deadline) const;
+  // that fail are tolerated; the result reports how many responded. The
+  // caller's remaining end-to-end budget rides the scattered request
+  // (wf-deadline-us, next to the trace context fields) and caps every
+  // per-node call, so a straggler shard can degrade coverage but never
+  // stall the gather past the deadline. An already-expired deadline fails
+  // every shard up front — zero downstream dispatches — instead of
+  // scattering work nobody will wait for.
+  SearchResult Search(const std::string& term,
+                      const Deadline& deadline = Deadline()) const;
   SearchResult SearchPhrase(const std::vector<std::string>& words,
-                            const Deadline& deadline) const;
+                            const Deadline& deadline = Deadline()) const;
 
   // Gathers and merges every node's wfstats export (see ClusterStats).
   ClusterStats CollectStats() const;

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "text/tokenizer.h"
 
 namespace wf::platform {
 
@@ -57,23 +56,9 @@ std::string GeoContextMiner::GeoConceptToken(const std::string& region) {
   return "geo/" + out;
 }
 
-common::Status GeoContextMiner::Process(Entity& entity) {
-  return Process(entity, MineContext{});
-}
-
 common::Status GeoContextMiner::Process(Entity& entity,
                                         const MineContext& context) {
-  if (entity.body().empty()) return common::Status::Ok();
-  text::TokenStream local;
-  const text::TokenStream* tokens_ptr;
-  if (context.analysis != nullptr) {
-    tokens_ptr = &context.analysis->tokens;
-  } else {
-    text::Tokenizer tokenizer;
-    local = tokenizer.Tokenize(entity.body());
-    tokens_ptr = &local;
-  }
-  const text::TokenStream& tokens = *tokens_ptr;
+  const text::TokenStream& tokens = context.analysis.tokens;
   std::set<std::string> regions;
   for (const spot::SubjectSpot& spot : gazetteer_.Spot(tokens)) {
     // .at(): every synset id came from the gazetteer, and operator[] on a

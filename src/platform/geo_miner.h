@@ -18,9 +18,7 @@ class GeoContextMiner : public EntityMiner {
   GeoContextMiner();
 
   std::string name() const override { return "geo_context"; }
-  common::Status Process(Entity& entity) override;
   common::Status Process(Entity& entity, const MineContext& context) override;
-  bool wants_analysis() const override { return true; }
 
   // Conceptual token for a region ("geo/united_states").
   static std::string GeoConceptToken(const std::string& region);

@@ -7,8 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "platform/mine_executor.h"
-#include "text/sentence_splitter.h"
-#include "text/tokenizer.h"
 
 namespace wf::platform {
 
@@ -42,11 +40,10 @@ void MinerPipeline::AttachMetrics(obs::MetricsRegistry* metrics) {
   }
 }
 
-common::Status MinerPipeline::ProcessEntity(Entity& entity) {
-  Sweep sweep = BeginSweep(1);
-  Status s = RunChain(sweep, 0, entity);
-  EndSweep(sweep);
-  return s;
+common::Status EntityMiner::Process(Entity& entity) {
+  std::unique_ptr<core::LinguisticAnalysis> analysis =
+      core::AnalyzeDocument(entity.body());
+  return Process(entity, MineContext{*analysis});
 }
 
 void MinerPipeline::ClearQuarantines() {
@@ -74,7 +71,6 @@ MinerPipeline::Sweep MinerPipeline::BeginSweep(size_t entity_count) const {
   }
   for (size_t i = 0; i < miner_count; ++i) {
     if (!sweep.active[i]) continue;
-    if (miners_[i]->wants_analysis()) sweep.need_analysis = true;
     if (!miners_[i]->parallel_safe()) sweep.all_parallel_safe = false;
   }
   sweep.outcomes.assign(entity_count * miner_count, StepOutcome::kNotRun);
@@ -82,20 +78,17 @@ MinerPipeline::Sweep MinerPipeline::BeginSweep(size_t entity_count) const {
   return sweep;
 }
 
-common::Status MinerPipeline::RunChain(Sweep& sweep, size_t e,
-                                       Entity& entity) const {
-  // One artifact per entity, shared by every miner in its chain and
-  // dropped when the chain ends.
-  MineContext context;
-  if (sweep.need_analysis && !entity.body().empty()) {
-    context.analysis = core::AnalyzeDocument(entity.body());
-  }
+void MinerPipeline::RunChain(Sweep& sweep, size_t e, Entity& entity) const {
+  // One artifact per entity, built for its first active miner, shared by
+  // every miner in its chain and dropped when the chain ends.
+  std::unique_ptr<core::LinguisticAnalysis> analysis;
   const size_t miner_count = miners_.size();
   for (size_t i = 0; i < miner_count; ++i) {
     if (!sweep.active[i]) continue;
+    if (analysis == nullptr) analysis = core::AnalyzeDocument(entity.body());
     const MinerMetrics& handles = sweep.handles[i];
     const uint64_t start_us = obs::MonotonicNowUs();
-    Status s = miners_[i]->Process(entity, context);
+    Status s = miners_[i]->Process(entity, MineContext{*analysis});
     const uint64_t elapsed = obs::MonotonicNowUs() - start_us;
     sweep.elapsed_us[e * miner_count + i] = elapsed;
     sweep.outcomes[e * miner_count + i] =
@@ -104,10 +97,9 @@ common::Status MinerPipeline::RunChain(Sweep& sweep, size_t e,
     if (handles.entities != nullptr) handles.entities->Add(1);
     if (!s.ok()) {
       if (handles.failures != nullptr) handles.failures->Add(1);
-      return s;  // first failure stops this entity's chain
+      return;  // first failure stops this entity's chain
     }
   }
-  return Status::Ok();
 }
 
 void MinerPipeline::EndSweep(const Sweep& sweep) {
@@ -164,10 +156,8 @@ void MinerPipeline::ProcessStore(DataStore& store, MineExecutor* executor,
       WF_CHECK_OK(entity.status());
       window.push_back(std::move(entity).value());
     }
-    auto run_entity = [&](size_t k) {
-      Status s = RunChain(sweep, row + k, window[k]);
-      (void)s;  // recorded in the outcome matrix; failures never stop a sweep
-    };
+    // Outcomes land in the sweep matrices; failures never stop a sweep.
+    auto run_entity = [&](size_t k) { RunChain(sweep, row + k, window[k]); };
     if (parallel) {
       executor->ParallelFor(window.size(), run_entity);
     } else {
@@ -195,65 +185,26 @@ std::vector<MinerPipeline::MinerStats> MinerPipeline::Stats() const {
   return stats_;
 }
 
-common::Status SentenceBoundaryMiner::Process(Entity& entity) {
-  return Process(entity, MineContext{});
-}
-
-namespace {
-
-// Sentence boundaries and word counts only need tokens: without a shared
-// artifact these miners tokenize locally instead of paying for the full
-// tag/parse pipeline they would not use.
-void TokenView(const MineContext& context, const std::string& body,
-               text::TokenStream* local, const text::TokenStream** tokens,
-               std::vector<text::SentenceSpan>* sentences) {
-  if (context.analysis != nullptr) {
-    *tokens = &context.analysis->tokens;
-    if (sentences != nullptr) *sentences = context.analysis->sentences;
-    return;
-  }
-  text::Tokenizer tokenizer;
-  *local = tokenizer.Tokenize(body);
-  *tokens = local;
-  if (sentences != nullptr) {
-    text::SentenceSplitter splitter;
-    *sentences = splitter.Split(*local);
-  }
-}
-
-}  // namespace
-
 common::Status SentenceBoundaryMiner::Process(Entity& entity,
                                               const MineContext& context) {
-  const std::string& body = entity.body();
-  if (body.empty()) return Status::Ok();
-  text::TokenStream local;
-  const text::TokenStream* tokens = nullptr;
-  std::vector<text::SentenceSpan> sentences;
-  TokenView(context, body, &local, &tokens, &sentences);
-  for (const text::SentenceSpan& span : sentences) {
+  const text::TokenStream& tokens = context.analysis.tokens;
+  for (const text::SentenceSpan& span : context.analysis.sentences) {
     AnnotationSpan ann;
-    ann.begin = (*tokens)[span.begin_token].begin;
-    ann.end = (*tokens)[span.end_token - 1].end;
+    ann.begin = tokens[span.begin_token].begin;
+    ann.end = tokens[span.end_token - 1].end;
     entity.AddAnnotation("sentences", std::move(ann));
   }
   return Status::Ok();
 }
 
-common::Status TokenStatsMiner::Process(Entity& entity) {
-  return Process(entity, MineContext{});
-}
-
 common::Status TokenStatsMiner::Process(Entity& entity,
                                         const MineContext& context) {
-  text::TokenStream local;
-  const text::TokenStream* tokens = nullptr;
-  TokenView(context, entity.body(), &local, &tokens, nullptr);
+  const text::TokenStream& tokens = context.analysis.tokens;
   size_t words = 0;
-  for (const text::Token& t : *tokens) {
+  for (const text::Token& t : tokens) {
     if (t.kind == text::TokenKind::kWord) ++words;
   }
-  entity.SetField("token_count", common::StrFormat("%zu", tokens->size()));
+  entity.SetField("token_count", common::StrFormat("%zu", tokens.size()));
   entity.SetField("word_count", common::StrFormat("%zu", words));
   return Status::Ok();
 }

@@ -25,13 +25,12 @@ namespace wf::platform {
 class MineExecutor;
 
 // Per-entity context the pipeline hands to every miner in the chain: the
-// shared linguistic-analysis artifact, computed once per entity per sweep
-// so plugins stop re-running the identical tokenize→tag→parse front end,
-// and dropped when the entity's chain ends. `analysis` is null when no
-// miner in the pipeline asked for it (see EntityMiner::wants_analysis) or
-// the entity has an empty body.
+// entity's linguistic-analysis artifact, built for the chain's first miner,
+// shared by the rest and dropped when the chain ends. It describes the
+// entity's body (empty bodies included) and computes tags and parses only
+// for the sentences some miner reads.
 struct MineContext {
-  std::shared_ptr<const core::LinguisticAnalysis> analysis;
+  core::LinguisticAnalysis& analysis;
 };
 
 // Entity-level miner (§2): processes one entity at a time, with no
@@ -43,18 +42,14 @@ class EntityMiner {
  public:
   virtual ~EntityMiner() = default;
   virtual std::string name() const = 0;
-  virtual common::Status Process(Entity& entity) = 0;
+  virtual common::Status Process(Entity& entity,
+                                 const MineContext& context) = 0;
 
-  // Context-aware entry point; the default ignores the context, so legacy
-  // miners keep working unchanged. Miners that consume the shared analysis
-  // override this (and wants_analysis) instead of re-parsing the body.
-  virtual common::Status Process(Entity& entity, const MineContext& context) {
-    (void)context;
-    return Process(entity);
-  }
-
-  // True when Process reads context.analysis — the pipeline only pays for
-  // the artifact when some active miner wants it.
+  // Convenience for one entity outside a pipeline: analyzes the body and
+  // calls the context form. Virtual, and wants_analysis() kept but unread,
+  // only while the repository benchmark's pass-through miner overrides
+  // both (ROADMAP item 9).
+  virtual common::Status Process(Entity& entity);
   virtual bool wants_analysis() const { return false; }
 
   // True when Process may run concurrently with Process on *other*
@@ -94,8 +89,7 @@ class CorpusMiner {
 // order when the sweep ends. Quarantine is evaluated at sweep boundaries:
 // miners quarantined when the sweep starts are skipped throughout; a
 // streak that crosses the threshold during the sweep trips quarantine for
-// subsequent sweeps. ProcessEntity is the one-entity sweep, so a
-// quarantine it trips applies from the next call.
+// subsequent sweeps.
 class MinerPipeline {
  public:
   struct MinerStats {
@@ -128,10 +122,6 @@ class MinerPipeline {
   // The registry must outlive this pipeline; nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
-  // Runs every non-quarantined miner over the entity, in order. Stops at
-  // (and returns) the first failure; quarantined miners are skipped.
-  common::Status ProcessEntity(Entity& entity);
-
   // Runs the pipeline over every entity in the store under the
   // deterministic sweep contract above; failures are counted but do not
   // stop the sweep. Per-entity work is scheduled on `executor` when every
@@ -142,7 +132,7 @@ class MinerPipeline {
   void ProcessStore(DataStore& store, MineExecutor* executor = nullptr,
                     const CommitFn& commit = nullptr);
 
-  // Safe to call while ProcessEntity/ProcessStore run on another thread
+  // Safe to call while ProcessStore runs on another thread
   // (e.g. a stats RPC during a mining sweep); returns a consistent copy.
   std::vector<MinerStats> Stats() const;
   size_t miner_count() const { return miners_.size(); }
@@ -177,7 +167,6 @@ class MinerPipeline {
   struct Sweep {
     std::vector<char> active;
     std::vector<MinerMetrics> handles;
-    bool need_analysis = false;
     bool all_parallel_safe = true;
     std::vector<StepOutcome> outcomes;
     std::vector<uint64_t> elapsed_us;
@@ -187,8 +176,8 @@ class MinerPipeline {
   Sweep BeginSweep(size_t entity_count) const;
   // Runs entity `e`'s chain over the sweep's active miners and records each
   // step in row `e` of the matrices; chains of distinct entities may run
-  // concurrently. Stops at (and returns) the first failure.
-  common::Status RunChain(Sweep& sweep, size_t e, Entity& entity) const;
+  // concurrently. Stops at the first failure.
+  void RunChain(Sweep& sweep, size_t e, Entity& entity) const;
   // Replays the matrices into stats_ in canonical order: per-miner totals,
   // failure streaks and quarantine trips.
   void EndSweep(const Sweep& sweep);
@@ -209,9 +198,7 @@ class MinerPipeline {
 class SentenceBoundaryMiner : public EntityMiner {
  public:
   std::string name() const override { return "sentence_boundary"; }
-  common::Status Process(Entity& entity) override;
   common::Status Process(Entity& entity, const MineContext& context) override;
-  bool wants_analysis() const override { return true; }
 };
 
 // Adds lowercase token counts as a "token_count" field (a tiny stand-in for
@@ -220,9 +207,7 @@ class SentenceBoundaryMiner : public EntityMiner {
 class TokenStatsMiner : public EntityMiner {
  public:
   std::string name() const override { return "token_stats"; }
-  common::Status Process(Entity& entity) override;
   common::Status Process(Entity& entity, const MineContext& context) override;
-  bool wants_analysis() const override { return true; }
 };
 
 }  // namespace wf::platform

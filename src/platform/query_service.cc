@@ -135,11 +135,6 @@ std::vector<SentimentHit> SentimentQueryService::FetchHits(
   return hits;
 }
 
-SentimentQueryResult SentimentQueryService::Query(const std::string& subject,
-                                                  size_t max_hits) const {
-  return Query(subject, max_hits, Deadline::Infinite());
-}
-
 SentimentQueryResult SentimentQueryService::Query(
     const std::string& subject, size_t max_hits,
     const Deadline& deadline) const {
@@ -165,12 +160,11 @@ SentimentQueryResult SentimentQueryService::Query(
                 neg_docs.failed_services.end());
   result.nodes_responded = result.nodes_total - failed.size();
 
-  size_t half = max_hits / 2 + 1;
   std::vector<SentimentHit> pos = FetchHits(
-      subject, Polarity::kPositive, pos_docs.docs, half, deadline,
-      &result.fetch_failures, &result.deadline_expired);
+      subject, Polarity::kPositive, pos_docs.docs, max_hits - max_hits / 2,
+      deadline, &result.fetch_failures, &result.deadline_expired);
   std::vector<SentimentHit> neg = FetchHits(
-      subject, Polarity::kNegative, neg_docs.docs, half, deadline,
+      subject, Polarity::kNegative, neg_docs.docs, max_hits / 2, deadline,
       &result.fetch_failures, &result.deadline_expired);
   result.hits = std::move(pos);
   result.hits.insert(result.hits.end(), neg.begin(), neg.end());
@@ -215,7 +209,8 @@ SentimentQueryResult RuntimeSentimentQueryService::Query(
     }
     auto entity = Entity::Deserialize(GetMessageField(*response, "entity"));
     if (!entity.ok()) continue;
-    miner.ProcessDocument(doc, entity->body(), &store);
+    miner.ProcessDocument(doc, *core::AnalyzeDocument(entity->body()),
+                          &store);
   }
 
   // 3. Assemble the same roll-up the offline service returns.
@@ -240,6 +235,7 @@ SentimentQueryResult RuntimeSentimentQueryService::Query(
 std::vector<std::string> SentimentQueryService::KnownSubjects() const {
   std::set<std::string> subjects;
   for (size_t i = 0; i < cluster_->node_count(); ++i) {
+    if (!cluster_->IsNodeUp(i)) continue;
     for (const std::string& term :
          cluster_->node(i).index().VocabularyWithPrefix("sent/")) {
       // "sent/<pol>/<subject>"

@@ -57,20 +57,18 @@ class SentimentQueryService {
   // remote applications can call it with "subject=<name>".
   common::Status RegisterService();
 
-  // Sentiment roll-up plus the matching sentences for `subject` (case
-  // insensitive; multi-word subjects allowed).
-  SentimentQueryResult Query(const std::string& subject,
-                             size_t max_hits = 50) const;
-
-  // Deadline-bounded variant: the remaining budget rides both search
-  // scatters and every hit fetch; once it is spent the query stops where
-  // it stands (deadline_expired set, remaining fetches skipped) instead of
-  // letting downstream calls outlive the caller.
-  SentimentQueryResult Query(const std::string& subject, size_t max_hits,
-                             const Deadline& deadline) const;
+  // Sentiment roll-up plus at most `max_hits` matching sentences for
+  // `subject` (case insensitive; multi-word subjects allowed), split
+  // between the polarities with the odd one going to positive. The
+  // remaining `deadline` budget rides both search scatters and every hit
+  // fetch; once it is spent the query stops where it stands
+  // (deadline_expired set, remaining fetches skipped) instead of letting
+  // downstream calls outlive the caller.
+  SentimentQueryResult Query(const std::string& subject, size_t max_hits = 50,
+                             const Deadline& deadline = Deadline()) const;
 
   // Subjects with at least one indexed sentiment, discovered from the
-  // concept-token vocabulary (for dashboards).
+  // concept-token vocabulary of the nodes that are up (for dashboards).
   std::vector<std::string> KnownSubjects() const;
 
  private:

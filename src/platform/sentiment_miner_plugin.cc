@@ -43,19 +43,10 @@ void RecordMentions(const SentimentStore& store, Entity& entity) {
 
 }  // namespace
 
-common::Status AdHocSentimentMinerPlugin::Process(Entity& entity) {
-  return Process(entity, MineContext{});
-}
-
 common::Status AdHocSentimentMinerPlugin::Process(Entity& entity,
                                                   const MineContext& context) {
-  if (entity.body().empty()) return Status::Ok();
   SentimentStore store;
-  if (context.analysis != nullptr) {
-    miner_.ProcessDocument(entity.id(), *context.analysis, &store);
-  } else {
-    miner_.ProcessDocument(entity.id(), entity.body(), &store);
-  }
+  miner_.ProcessDocument(entity.id(), context.analysis, &store);
   RecordMentions(store, entity);
   return Status::Ok();
 }
@@ -70,19 +61,10 @@ SubjectSentimentMinerPlugin::SubjectSentimentMinerPlugin(
   }
 }
 
-common::Status SubjectSentimentMinerPlugin::Process(Entity& entity) {
-  return Process(entity, MineContext{});
-}
-
 common::Status SubjectSentimentMinerPlugin::Process(
     Entity& entity, const MineContext& context) {
-  if (entity.body().empty()) return Status::Ok();
   SentimentStore store;
-  if (context.analysis != nullptr) {
-    miner_.ProcessDocument(entity.id(), *context.analysis, &store);
-  } else {
-    miner_.ProcessDocument(entity.id(), entity.body(), &store);
-  }
+  miner_.ProcessDocument(entity.id(), context.analysis, &store);
   RecordMentions(store, entity);
   return Status::Ok();
 }

@@ -27,9 +27,7 @@ class AdHocSentimentMinerPlugin : public EntityMiner {
       : miner_(lexicon, patterns) {}
 
   std::string name() const override { return "sentiment_adhoc"; }
-  common::Status Process(Entity& entity) override;
   common::Status Process(Entity& entity, const MineContext& context) override;
-  bool wants_analysis() const override { return true; }
   // The ad-hoc core miner is stateless across documents, so entities can
   // be mined concurrently.
   bool parallel_safe() const override { return true; }
@@ -48,9 +46,7 @@ class SubjectSentimentMinerPlugin : public EntityMiner {
                               std::vector<spot::SynonymSet> subjects);
 
   std::string name() const override { return "sentiment_subjects"; }
-  common::Status Process(Entity& entity) override;
   common::Status Process(Entity& entity, const MineContext& context) override;
-  bool wants_analysis() const override { return true; }
   // Mode A accumulates corpus statistics across documents (TF-IDF
   // disambiguation), so its results depend on processing order — the
   // pipeline must sweep sequentially.

@@ -91,7 +91,7 @@ int CmdAnalyze(std::vector<std::string> args) {
   core::SentimentMiner miner(&lexicon, &patterns);
   miner.AddSubject(spot::SynonymSet{0, subject, {}});
   core::SentimentStore store;
-  miner.ProcessDocument("stdin", text, &store);
+  miner.ProcessDocument("stdin", *core::AnalyzeDocument(text), &store);
 
   if (store.size() == 0) {
     std::printf("no occurrences of \"%s\"\n", subject.c_str());
@@ -125,7 +125,7 @@ int CmdMine(std::vector<std::string> args) {
     miner.AddSubject(spot::SynonymSet{id++, s, {}});
   }
   core::SentimentStore store;
-  miner.ProcessDocument("stdin", text, &store);
+  miner.ProcessDocument("stdin", *core::AnalyzeDocument(text), &store);
   for (const core::SentimentMention& m : store.mentions()) {
     std::printf("%s\t%s\t%s\n", m.subject.c_str(),
                 PolaritySymbol(m.polarity), m.sentence_text.c_str());
@@ -140,7 +140,7 @@ int CmdAdhoc(std::vector<std::string> args) {
   lexicon::PatternDatabase patterns = lexicon::PatternDatabase::Embedded();
   core::AdHocSentimentMiner miner(&lexicon, &patterns);
   core::SentimentStore store;
-  miner.ProcessDocument("stdin", text, &store);
+  miner.ProcessDocument("stdin", *core::AnalyzeDocument(text), &store);
   for (const core::SentimentMention& m : store.mentions()) {
     std::printf("%s\t%s\t%s\n", m.subject.c_str(),
                 PolaritySymbol(m.polarity), m.sentence_text.c_str());

@@ -14,6 +14,7 @@
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "core/analysis.h"
 #include "corpus/datasets.h"
 #include "gtest/gtest.h"
 #include "lexicon/pattern_db.h"
@@ -23,6 +24,7 @@
 #include "platform/mine_executor.h"
 #include "platform/miner_framework.h"
 #include "platform/sentiment_miner_plugin.h"
+#include "pos/tagger.h"
 
 namespace wf {
 namespace {
@@ -90,6 +92,71 @@ TEST(ArenaIdentityTest, MiningBytesMatchPreArenaGoldenAtEveryThreadCount) {
                 static_cast<unsigned long long>(fp));
     EXPECT_EQ(fp, kPreArenaGolden) << "threads=" << threads;
   }
+}
+
+void ExpectSameParse(const parse::SentenceParse& lazy,
+                     const parse::SentenceParse& direct) {
+  EXPECT_EQ(lazy.span.begin_token, direct.span.begin_token);
+  EXPECT_EQ(lazy.span.end_token, direct.span.end_token);
+  EXPECT_EQ(lazy.chunks, direct.chunks);
+  EXPECT_EQ(lazy.tags, direct.tags);
+  EXPECT_EQ(lazy.predicate_chunk, direct.predicate_chunk);
+  EXPECT_EQ(lazy.predicate_lemma, direct.predicate_lemma);
+  EXPECT_EQ(lazy.subject_chunk, direct.subject_chunk);
+  EXPECT_EQ(lazy.object_chunk, direct.object_chunk);
+  EXPECT_EQ(lazy.complement_chunk, direct.complement_chunk);
+  ASSERT_EQ(lazy.pps.size(), direct.pps.size());
+  for (size_t i = 0; i < lazy.pps.size(); ++i) {
+    EXPECT_EQ(lazy.pps[i].preposition, direct.pps[i].preposition);
+    EXPECT_EQ(lazy.pps[i].np_chunk, direct.pps[i].np_chunk);
+  }
+  EXPECT_EQ(lazy.vp_negated, direct.vp_negated);
+}
+
+// The lazy artifact computes each sentence's tags and clauses on first use.
+// Forced in reverse order — so no sentence is parsed in its eager position
+// — they must equal the tagger and parser run directly, field by field.
+TEST(LazyAnalysisTest, ForcedSentencesMatchTheStagesRunDirectly) {
+  const pos::PosTagger tagger;
+  const parse::SentenceAnalyzer analyzer;
+  size_t sentences = 0;
+  for (const corpus::GeneratedDoc& d :
+       corpus::BuildPetroleumWebDataset(9001).docs) {
+    std::unique_ptr<core::LinguisticAnalysis> analysis =
+        core::AnalyzeDocument(d.body);
+    common::Arena arena;
+    common::StringInterner interner(&arena);
+    for (size_t s = analysis->sentences.size(); s-- > 0;) {
+      const text::SentenceSpan& span = analysis->sentences[s];
+      const std::vector<pos::PosTag> tags =
+          tagger.TagSentence(analysis->tokens, span);
+      const std::vector<parse::SentenceParse> clauses =
+          analyzer.AnalyzeClauses(analysis->tokens, span, tags, &interner);
+      const std::vector<parse::SentenceParse>& lazy = analysis->Clauses(s);
+      EXPECT_EQ(analysis->Tags(s), tags);
+      ASSERT_EQ(lazy.size(), clauses.size()) << d.id << " sentence " << s;
+      for (size_t c = 0; c < clauses.size(); ++c) {
+        ExpectSameParse(lazy[c], clauses[c]);
+      }
+      ++sentences;
+    }
+  }
+  EXPECT_GT(sentences, 1000u);
+}
+
+// Tokenizing and splitting intern nothing: until a miner asks for a
+// clause, the arena holds only the body copy.
+TEST(LazyAnalysisTest, ArenaHoldsOnlyTheBodyUntilAClauseIsAskedFor) {
+  const std::string body =
+      "The rig was improved by the crew. Analysts praise Altona Petroleum.";
+  std::unique_ptr<core::LinguisticAnalysis> analysis =
+      core::AnalyzeDocument(body);
+  ASSERT_EQ(analysis->sentences.size(), 2u);
+  EXPECT_EQ(analysis->arena.bytes_used(), body.size());
+  ASSERT_FALSE(analysis->Tags(1).empty());
+  EXPECT_EQ(analysis->arena.bytes_used(), body.size());
+  EXPECT_EQ(analysis->ClauseAt(1, 0).predicate_lemma, "praise");
+  EXPECT_GT(analysis->arena.bytes_used(), body.size());
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST_F(MinerTest, MinesRegisteredSubjects) {
   SentimentStore store;
   miner.ProcessDocument(
       "doc-1",
-      "I bought it in March. The battery is excellent. The flash is "
-      "terrible. Nothing else matters.",
+      *AnalyzeDocument("I bought it in March. The battery is excellent. The "
+                       "flash is terrible. Nothing else matters."),
       &store);
 
   ASSERT_EQ(store.size(), 2u);
@@ -147,7 +147,7 @@ TEST_F(MinerTest, RecordsSentenceTextAndOffsets) {
   miner.AddSubject({1, "battery", {}});
   SentimentStore store;
   std::string body = "Filler first. The battery is excellent.";
-  miner.ProcessDocument("doc-1", body, &store);
+  miner.ProcessDocument("doc-1", *AnalyzeDocument(body), &store);
   ASSERT_EQ(store.size(), 1u);
   const SentimentMention& m = store.mentions()[0];
   EXPECT_EQ(m.sentence_index, 1u);
@@ -161,8 +161,8 @@ TEST_F(MinerTest, SynonymsRollUpToCanonical) {
   SentimentMiner miner(&lexicon_, &patterns_);
   miner.AddSubject({1, "Sony Corporation", {"Sony"}});
   SentimentStore store;
-  miner.ProcessDocument("d", "Sony impresses everyone who tried it.",
-                        &store);
+  miner.ProcessDocument(
+      "d", *AnalyzeDocument("Sony impresses everyone who tried it."), &store);
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.mentions()[0].subject, "Sony Corporation");
 }
@@ -173,14 +173,15 @@ TEST_F(MinerTest, NeutralRecordingToggle) {
   SentimentMiner miner(&lexicon_, &patterns_, config);
   miner.AddSubject({1, "battery", {}});
   SentimentStore store;
-  miner.ProcessDocument("d", "The battery arrived on Tuesday.", &store);
+  miner.ProcessDocument(
+      "d", *AnalyzeDocument("The battery arrived on Tuesday."), &store);
   EXPECT_EQ(store.size(), 0u);
 
   SentimentMiner with_neutral(&lexicon_, &patterns_);
   SentimentStore store2;
   with_neutral.AddSubject({1, "battery", {}});
-  with_neutral.ProcessDocument("d", "The battery arrived on Tuesday.",
-                               &store2);
+  with_neutral.ProcessDocument(
+      "d", *AnalyzeDocument("The battery arrived on Tuesday."), &store2);
   EXPECT_EQ(store2.size(), 1u);
   EXPECT_EQ(store2.mentions()[0].polarity, Polarity::kNeutral);
 }
@@ -200,13 +201,15 @@ TEST_F(MinerTest, DisambiguatorFiltersOffTopicSpots) {
 
   SentimentStore store;
   miner.ProcessDocument(
-      "d-off", "The sun is wonderful. The weather and sky are clear.",
+      "d-off",
+      *AnalyzeDocument("The sun is wonderful. The weather and sky are clear."),
       &store);
   EXPECT_EQ(store.size(), 0u);  // off-topic spot filtered
 
-  miner.ProcessDocument(
-      "d-on", "SUN is wonderful. Analysts track every oil barrel it sells.",
-      &store);
+  miner.ProcessDocument("d-on",
+                        *AnalyzeDocument("SUN is wonderful. Analysts track "
+                                         "every oil barrel it sells."),
+                        &store);
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -218,7 +221,8 @@ TEST_F(MinerTest, FragmentAttributionOptIn) {
   miner.AddSubject({1, "PowerLine S45", {}});
   SentimentStore store;
   miner.ProcessDocument(
-      "d", "I bought the PowerLine S45 in May. Big mistake.", &store);
+      "d", *AnalyzeDocument("I bought the PowerLine S45 in May. Big mistake."),
+      &store);
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.mentions()[0].polarity, Polarity::kNegative);
   EXPECT_EQ(store.mentions()[0].source, SentimentSource::kCrossSentence);
@@ -226,7 +230,8 @@ TEST_F(MinerTest, FragmentAttributionOptIn) {
   // Positive fragment.
   SentimentStore store2;
   miner.ProcessDocument(
-      "d2", "I bought the PowerLine S45 in May. What a gem.", &store2);
+      "d2", *AnalyzeDocument("I bought the PowerLine S45 in May. What a gem."),
+      &store2);
   ASSERT_EQ(store2.size(), 1u);
   EXPECT_EQ(store2.mentions()[0].polarity, Polarity::kPositive);
 }
@@ -238,7 +243,8 @@ TEST_F(MinerTest, FragmentAttributionOffByDefault) {
   miner.AddSubject({1, "PowerLine S45", {}});
   SentimentStore store;
   miner.ProcessDocument(
-      "d", "I bought the PowerLine S45 in May. Big mistake.", &store);
+      "d", *AnalyzeDocument("I bought the PowerLine S45 in May. Big mistake."),
+      &store);
   EXPECT_EQ(store.size(), 0u);
 }
 
@@ -251,9 +257,10 @@ TEST_F(MinerTest, FragmentRuleIgnoresFullSentences) {
   SentimentStore store;
   // The follow-up has a predicate (and is about something else): no
   // attribution.
-  miner.ProcessDocument(
-      "d", "I bought the PowerLine S45 in May. The weather was terrible.",
-      &store);
+  miner.ProcessDocument("d",
+                        *AnalyzeDocument("I bought the PowerLine S45 in May. "
+                                         "The weather was terrible."),
+                        &store);
   EXPECT_EQ(store.size(), 0u);
 }
 
@@ -264,8 +271,8 @@ TEST_F(MinerTest, AdHocFindsEntitySentiment) {
   SentimentStore store;
   miner.ProcessDocument(
       "d",
-      "Kodak impresses everyone who tried it. The weather was mild. "
-      "Lawsuits plague Altona Petroleum.",
+      *AnalyzeDocument("Kodak impresses everyone who tried it. The weather "
+                       "was mild. Lawsuits plague Altona Petroleum."),
       &store);
   ASSERT_EQ(store.size(), 2u);
   EXPECT_EQ(store.ForSubject("Kodak").positive, 1u);
@@ -275,7 +282,8 @@ TEST_F(MinerTest, AdHocFindsEntitySentiment) {
 TEST_F(MinerTest, AdHocSkipsNeutralEntities) {
   AdHocSentimentMiner miner(&lexicon_, &patterns_);
   SentimentStore store;
-  miner.ProcessDocument("d", "Kodak announced a meeting in June.", &store);
+  miner.ProcessDocument(
+      "d", *AnalyzeDocument("Kodak announced a meeting in June."), &store);
   EXPECT_EQ(store.size(), 0u);
 }
 

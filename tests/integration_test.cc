@@ -143,7 +143,7 @@ TEST_F(IntegrationTest, ModeBPipelineAgreesWithModeA) {
   }
   core::SentimentStore store;
   for (const corpus::GeneratedDoc& d : web.docs) {
-    miner.ProcessDocument(d.id, d.body, &store);
+    miner.ProcessDocument(d.id, *core::AnalyzeDocument(d.body), &store);
   }
 
   // Mode B through the platform.

@@ -112,7 +112,7 @@ void FillStore(DataStore* store, size_t count) {
 class FlakyMiner : public EntityMiner {
  public:
   std::string name() const override { return "flaky"; }
-  common::Status Process(Entity& entity) override {
+  common::Status Process(Entity& entity, const MineContext&) override {
     if (common::Fnv1a64(entity.id()) % 5 == 0) {
       return Status::Internal("injected mining fault: " + entity.id());
     }
@@ -126,7 +126,7 @@ class OrderDependentMiner : public EntityMiner {
  public:
   std::string name() const override { return "order_dependent"; }
   bool parallel_safe() const override { return false; }
-  common::Status Process(Entity& entity) override {
+  common::Status Process(Entity& entity, const MineContext&) override {
     // Unsynchronized on purpose: a racy parallel sweep would corrupt the
     // count (and trip TSan); the sequential fallback keeps it exact.
     ++seen_;
@@ -324,7 +324,7 @@ TEST(ParallelSweepDeterminismTest, QuarantineTripsIdenticallyWhenParallel) {
   class AlwaysFailMiner : public EntityMiner {
    public:
     std::string name() const override { return "always_fail"; }
-    common::Status Process(Entity&) override {
+    common::Status Process(Entity&, const MineContext&) override {
       return Status::Internal("broken plugin");
     }
   };

@@ -144,7 +144,9 @@ TEST(TrendingTest, BucketsSentimentByMonth) {
   ASSERT_TRUE(store.Put(Doc("undated", "Analysts admire Veraxin.")).ok());
   ASSERT_TRUE(store
                   .ForEachMutable([&sentiment](Entity& e) {
-                    ASSERT_TRUE(sentiment.Process(e).ok());
+                    ASSERT_TRUE(
+                        sentiment.Process(e, {*core::AnalyzeDocument(e.body())})
+                            .ok());
                   })
                   .ok());
 
@@ -173,7 +175,7 @@ TEST(GeoMinerTest, SpotsRegionsAndEmitsConcepts) {
   GeoContextMiner miner;
   Entity e = Doc("geo", "The rig operates in the Gulf of Mexico while "
                         "headquarters remain in Houston.");
-  ASSERT_TRUE(miner.Process(e).ok());
+  ASSERT_TRUE(miner.Process(e, {*core::AnalyzeDocument(e.body())}).ok());
   const auto* spans = e.GetAnnotations("geo");
   ASSERT_NE(spans, nullptr);
   EXPECT_EQ(spans->size(), 2u);
@@ -190,7 +192,7 @@ TEST(GeoMinerTest, SpotsRegionsAndEmitsConcepts) {
 TEST(GeoMinerTest, NoRegionsNoAnnotations) {
   GeoContextMiner miner;
   Entity e = Doc("plain", "The battery is excellent.");
-  ASSERT_TRUE(miner.Process(e).ok());
+  ASSERT_TRUE(miner.Process(e, {*core::AnalyzeDocument(e.body())}).ok());
   EXPECT_EQ(e.GetAnnotations("geo"), nullptr);
   EXPECT_TRUE(e.concept_tokens().empty());
 }

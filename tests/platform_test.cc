@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -413,8 +414,10 @@ TEST(IndexWorkTest, ScannedEntriesPerEntityStayFlatFrom1kTo8k) {
            corpus::PetroleumDomain(), 8000, 77, corpus::WebGenOptions{})) {
     Entity e(d.id, "crawl");
     e.SetBody(d.body);
-    ASSERT_TRUE(sentiment.Process(e).ok());
-    ASSERT_TRUE(token_stats.Process(e).ok());
+    std::unique_ptr<core::LinguisticAnalysis> analysis =
+        core::AnalyzeDocument(d.body);
+    ASSERT_TRUE(sentiment.Process(e, {*analysis}).ok());
+    ASSERT_TRUE(token_stats.Process(e, {*analysis}).ok());
     mined.push_back(std::move(e));
   }
   const auto [first_1k, second_1k] = ScannedPerEntity(mined, 1000);
@@ -555,13 +558,17 @@ TEST(MinerFrameworkTest, PipelineRunsInOrderAndCounts) {
   pipeline.AddMiner(std::make_unique<SentenceBoundaryMiner>());
   pipeline.AddMiner(std::make_unique<TokenStatsMiner>());
 
-  Entity e("e", "t");
-  e.SetBody("First sentence. Second sentence here.");
-  ASSERT_TRUE(pipeline.ProcessEntity(e).ok());
+  Entity body("e", "t");
+  body.SetBody("First sentence. Second sentence here.");
+  DataStore store;
+  ASSERT_TRUE(store.Put(body).ok());
+  pipeline.ProcessStore(store);
+  auto e = store.Get("e");
+  ASSERT_TRUE(e.ok());
 
-  ASSERT_NE(e.GetAnnotations("sentences"), nullptr);
-  EXPECT_EQ(e.GetAnnotations("sentences")->size(), 2u);
-  EXPECT_EQ(e.GetField("word_count"), "5");
+  ASSERT_NE(e->GetAnnotations("sentences"), nullptr);
+  EXPECT_EQ(e->GetAnnotations("sentences")->size(), 2u);
+  EXPECT_EQ(e->GetField("word_count"), "5");
 
   auto stats = pipeline.Stats();
   ASSERT_EQ(stats.size(), 2u);
@@ -575,7 +582,7 @@ TEST(MinerFrameworkTest, SentimentPluginAnnotatesAndEmitsConcepts) {
   AdHocSentimentMinerPlugin plugin(&lexicon, &patterns);
   Entity e("e", "t");
   e.SetBody("Kodak impresses everyone who tried it.");
-  ASSERT_TRUE(plugin.Process(e).ok());
+  ASSERT_TRUE(plugin.Process(e, {*core::AnalyzeDocument(e.body())}).ok());
   ASSERT_NE(e.GetAnnotations("sentiment"), nullptr);
   ASSERT_EQ(e.concept_tokens().size(), 1u);
   EXPECT_EQ(e.concept_tokens()[0], "sent/+/kodak");
@@ -709,6 +716,62 @@ TEST(QueryServiceTest, EndToEndSentimentQuery) {
   std::vector<std::string> subjects = service.KnownSubjects();
   EXPECT_NE(std::find(subjects.begin(), subjects.end(), "kodak"),
             subjects.end());
+}
+
+// Ingests `docs` into `cluster` and mines them with the Mode-B plugin.
+void MineCluster(Cluster* cluster,
+                 std::vector<std::pair<std::string, std::string>> docs) {
+  static const auto* const lexicon =
+      new lexicon::SentimentLexicon(lexicon::SentimentLexicon::Embedded());
+  static const auto* const patterns =
+      new lexicon::PatternDatabase(lexicon::PatternDatabase::Embedded());
+  BatchIngestor ingestor("t", std::move(docs));
+  IngestAll(ingestor, *cluster);
+  cluster->DeployMiner([] {
+    return std::make_unique<AdHocSentimentMinerPlugin>(lexicon, patterns);
+  });
+  cluster->MineAndIndexAll();
+}
+
+TEST(QueryServiceTest, HitsNeverExceedMaxHits) {
+  std::vector<std::pair<std::string, std::string>> docs;
+  for (int i = 0; i < 6; ++i) {
+    docs.emplace_back(common::StrFormat("p%d", i),
+                      "Kodak impresses everyone who tried it.");
+    docs.emplace_back(common::StrFormat("n%d", i), "Lawsuits plague Kodak.");
+  }
+  Cluster cluster(2);
+  MineCluster(&cluster, std::move(docs));
+  SentimentQueryService service(&cluster);
+  for (size_t max_hits : {0, 1, 2, 5, 50}) {
+    SentimentQueryResult result = service.Query("Kodak", max_hits);
+    EXPECT_EQ(result.positive_docs, 6u);
+    EXPECT_EQ(result.negative_docs, 6u);
+    EXPECT_EQ(result.hits.size(), std::min<size_t>(max_hits, 12))
+        << "max_hits=" << max_hits;
+  }
+}
+
+TEST(QueryServiceTest, KnownSubjectsSkipsADownNode) {
+  const char* const kSubjects[] = {"Kodak", "Sony", "Nikon", "Canon",
+                                   "Olympus", "Pentax"};
+  std::vector<std::pair<std::string, std::string>> docs;
+  for (const char* subject : kSubjects) {
+    for (int i = 0; i < 2; ++i) {
+      docs.emplace_back(common::StrFormat("%s-%d", subject, i),
+                        common::StrFormat("Lawsuits plague %s.", subject));
+    }
+  }
+  Cluster cluster(2);
+  MineCluster(&cluster, std::move(docs));
+  SentimentQueryService service(&cluster);
+  const std::vector<std::string> all = service.KnownSubjects();
+  ASSERT_EQ(all.size(), 6u);
+
+  ASSERT_TRUE(cluster.CrashNode(1).ok());
+  const std::vector<std::string> up = service.KnownSubjects();
+  EXPECT_FALSE(up.empty());
+  EXPECT_TRUE(std::includes(all.begin(), all.end(), up.begin(), up.end()));
 }
 
 }  // namespace

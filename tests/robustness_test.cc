@@ -37,7 +37,7 @@ TEST_F(RobustnessTest, MinerSurvivesEmptyAndDegenerateBodies) {
   for (const char* body :
        {"", ".", "...", "!!!!", "battery", "battery.", ". . . .",
         "the the the the", "battery battery battery battery battery"}) {
-    miner.ProcessDocument("d", body, &store);
+    miner.ProcessDocument("d", *core::AnalyzeDocument(body), &store);
   }
   SUCCEED();
 }
@@ -55,7 +55,7 @@ TEST_F(RobustnessTest, MinerSurvivesRandomBytes) {
       int c = static_cast<int>(rng.Uniform(0, 97));
       body += c < 95 ? static_cast<char>(32 + c) : (c == 95 ? '\n' : '\t');
     }
-    miner.ProcessDocument("fuzz", body, &store);
+    miner.ProcessDocument("fuzz", *core::AnalyzeDocument(body), &store);
   }
   SUCCEED();
 }
@@ -65,10 +65,11 @@ TEST_F(RobustnessTest, AdHocMinerSurvivesPathologicalCapitalization) {
   core::SentimentStore store;
   std::string all_caps;
   for (int i = 0; i < 200; ++i) all_caps += "AAA BBB CCC DDD ";
-  miner.ProcessDocument("caps", all_caps + ".", &store);
+  miner.ProcessDocument("caps", *core::AnalyzeDocument(all_caps + "."), &store);
   std::string long_run;
   for (int i = 0; i < 500; ++i) long_run += "Word ";
-  miner.ProcessDocument("run", long_run + "is excellent.", &store);
+  miner.ProcessDocument(
+      "run", *core::AnalyzeDocument(long_run + "is excellent."), &store);
   SUCCEED();
 }
 
@@ -79,7 +80,7 @@ TEST_F(RobustnessTest, VeryLongSentenceDoesNotBlowUp) {
   std::string body = "The battery";
   for (int i = 0; i < 2000; ++i) body += " and the zoom";
   body += " is excellent.";
-  miner.ProcessDocument("long", body, &store);
+  miner.ProcessDocument("long", *core::AnalyzeDocument(body), &store);
   SUCCEED();
 }
 
