@@ -183,6 +183,11 @@ struct InflectionCase {
   const char* expected;
 };
 
+// gtest prints the parameter into every listed test name. Without this it
+// dumps the struct's raw bytes, two string-literal addresses that move with
+// every load of the binary, so the names changed from one build to the next.
+void PrintTo(const InflectionCase& c, std::ostream* os) { *os << c.input; }
+
 class SingularizeTest : public ::testing::TestWithParam<InflectionCase> {};
 
 TEST_P(SingularizeTest, Singularizes) {
