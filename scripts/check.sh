@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # One-command correctness gate: tier-1 build + tests, the wflint static
-# pass, a Release build, and an ASan+UBSan test sweep. Mirrors what CI
-# should run.
+# pass, a Release build, the wfbench build and self-test, and an ASan+UBSan
+# test sweep. Mirrors what CI should run.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # tier-1 + wflint only (skip Release and
-#                               # sanitizers)
+#   scripts/check.sh --fast     # tier-1 + wflint only (skip Release,
+#                               # wfbench and sanitizers)
 #   WF_CHECK_TSAN=1 scripts/check.sh   # additionally run TSan over the
 #                                      # threaded platform suites
 set -euo pipefail
@@ -95,6 +95,15 @@ step "Release: configure + build (-Werror)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DWF_WERROR=ON \
   >/dev/null
 cmake --build build-release -j "${JOBS}"
+
+# wfbench, the repository benchmark, is a CMake package of its own over
+# src/, and nothing above builds it. Some src/ entry points are kept only
+# for it (IndexEntity(entity, tokens), EntityMiner::Process(Entity&),
+# wants_analysis(), the node/<i>/stats service), so a change that deletes
+# one would pass every other step and break every benchmark run. The
+# first run builds .bench_build/ (about 100 s).
+step "wfbench: build + self-test"
+python3 wfbench/run.py --self-test
 
 step "ASan+UBSan: build + full suite (ctest -L sanitize)"
 cmake -B build-asan -S . -DWF_SANITIZE=address,undefined >/dev/null

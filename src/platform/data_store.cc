@@ -73,16 +73,6 @@ void DataStore::ForEach(const std::function<void(const Entity&)>& fn) const {
       }));
 }
 
-common::Status DataStore::ForEachMutable(
-    const std::function<void(Entity&)>& fn) {
-  // Ids first (cheap: key indexes only), then a read-modify-write per
-  // entity — each rewrite lands in the memtable tier like any update.
-  for (const std::string& id : Ids()) {
-    WF_RETURN_IF_ERROR(Update(id, fn));
-  }
-  return Status::Ok();
-}
-
 size_t DataStore::size() const { return lsm_.size(); }
 
 std::vector<std::string> DataStore::Ids() const {

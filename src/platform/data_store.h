@@ -67,9 +67,6 @@ class DataStore {
   // deserialized entity at a time (under the lock; `fn` must not call
   // back into the store).
   void ForEach(const std::function<void(const Entity&)>& fn) const;
-  // Mutable sweep, for corpus-level miners: read-modify-writes every
-  // entity by id, so rewritten records land in the memtable tier.
-  common::Status ForEachMutable(const std::function<void(Entity&)>& fn);
 
   size_t size() const;
 

@@ -20,21 +20,6 @@ namespace {
 
 using ::wf::common::LowerInto;
 
-// Sorted-unique union of `add` into `acc` (both ascending).
-void MergePositions(std::span<const uint32_t> add,
-                    std::vector<uint32_t>* acc) {
-  if (add.empty()) return;
-  if (acc->empty()) {
-    acc->assign(add.begin(), add.end());
-    return;
-  }
-  std::vector<uint32_t> merged;
-  merged.reserve(acc->size() + add.size());
-  std::set_union(acc->begin(), acc->end(), add.begin(), add.end(),
-                 std::back_inserter(merged));
-  acc->swap(merged);
-}
-
 // Compaction's merge: MergeIndexSegments over the run's logical contents.
 common::Status WriteMergedIndexSegment(
     std::span<const std::unique_ptr<store::IndexSegmentReader>> inputs,
@@ -76,7 +61,8 @@ common::Status InvertedIndex::EnableSegments(
     const std::string& dir, const std::string& base,
     common::StorageFaultInjector* injector, size_t compaction_fanout) {
   common::MutexLock lock(mu_);
-  if (!docs_.empty() || !postings_.lists.empty() || !fields_.lists.empty()) {
+  // Every list entry belongs to an interned doc.
+  if (!docs_.empty()) {
     return common::Status::FailedPrecondition(
         "delta tier must be empty when opening index segments");
   }
@@ -143,7 +129,6 @@ uint32_t InvertedIndex::InternDoc(const std::string& doc_id) {
   uint32_t ord = static_cast<uint32_t>(docs_.size());
   docs_.push_back(doc_id);
   doc_ids_.emplace(doc_id, ord);
-  delta_full_.push_back(false);
   postings_.forward.emplace_back();
   fields_.forward.emplace_back();
   positions_.emplace_back();
@@ -170,14 +155,12 @@ void InvertedIndex::IndexEntity(const Entity& entity) {
 void InvertedIndex::IndexEntity(const Entity& entity,
                                 const text::TokenStream& tokens) {
   common::MutexLock lock(mu_);
+  // The delta is the newest tier, so this version shadows every frozen one.
   uint32_t ord = InternDoc(entity.id());
-  // The delta now holds the doc's complete postings: at query and freeze
-  // time this version shadows every frozen tier.
-  delta_full_[ord] = true;
   live_vocabulary_size_.reset();
 
-  // Drop the doc's previous delta entries (re-index, or incremental
-  // touches); a doc new to the delta has none.
+  // Drop the doc's previous delta entries (a re-index); a doc new to the
+  // delta has none.
   size_t scanned = postings_.Drop(ord) + fields_.Drop(ord);
 
   // Room for a posting per token, trimmed to fit once the doc is in: the
@@ -262,49 +245,13 @@ void InvertedIndex::AddFieldValueLocked(const std::string& field,
                FieldValue{.value = value, .doc = ord});
 }
 
-void InvertedIndex::AddConceptToken(const std::string& doc_id,
-                                    const std::string& token) {
-  common::MutexLock lock(mu_);
-  const uint32_t ord = InternDoc(doc_id);
-  live_vocabulary_size_.reset();
-  std::string lower;
-  LowerInto(token, &lower);
-  auto list = postings_.lists.try_emplace(lower).first;
-  // The duplicate check reads the doc's own forward list, not the term's
-  // posting list.
-  const auto& refs = postings_.forward[ord];
-  auto dup = std::find_if(refs.begin(), refs.end(), [&list](const auto& ref) {
-    return ref.list == list;
-  });
-  if (dup == refs.end()) {
-    CountScanned(refs.size());
-    postings_.Push(list, Posting{.doc = ord});
-  } else {
-    CountScanned(static_cast<size_t>(dup - refs.begin()) + 1);
-  }
-}
-
-void InvertedIndex::AddFieldValue(const std::string& doc_id,
-                                  const std::string& field, double value) {
-  common::MutexLock lock(mu_);
-  AddFieldValueLocked(field, value, InternDoc(doc_id));
-}
-
 // --- Tier merging -----------------------------------------------------------
 
-int InvertedIndex::SealTierLocked(const std::string& doc_id) const {
+int InvertedIndex::OwnerTierLocked(const std::string& doc_id) const {
   const auto& frozen = frozen_.runs();
-  auto it = doc_ids_.find(doc_id);
-  if (it != doc_ids_.end() && delta_full_[it->second]) {
-    return static_cast<int>(frozen.size());
-  }
+  if (doc_ids_.count(doc_id) > 0) return static_cast<int>(frozen.size());
   for (int t = static_cast<int>(frozen.size()) - 1; t >= 0; --t) {
-    int ord = frozen[static_cast<size_t>(t)]->FindDoc(doc_id);
-    if (ord >= 0 &&
-        frozen[static_cast<size_t>(t)]->docs()[static_cast<size_t>(ord)]
-            .full) {
-      return t;
-    }
+    if (frozen[static_cast<size_t>(t)]->FindDoc(doc_id) >= 0) return t;
   }
   return -1;
 }
@@ -313,15 +260,15 @@ std::map<std::string, std::vector<uint32_t>>
 InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
   const auto& frozen = frozen_.runs();
   std::map<std::string, std::vector<uint32_t>> acc;
-  // Memoize seal lookups: one term often touches the same docs in several
+  // Memoize owner lookups: one term often touches the same docs in several
   // tiers.
-  std::map<std::string, int> seal;
-  auto seal_of = [this, &seal](const std::string& doc_id) {
-    auto it = seal.find(doc_id);
-    if (it != seal.end()) return it->second;
-    int s = SealTierLocked(doc_id);
-    seal.emplace(doc_id, s);
-    return s;
+  std::map<std::string, int> owner;
+  auto owner_of = [this, &owner](const std::string& doc_id) {
+    auto it = owner.find(doc_id);
+    if (it != owner.end()) return it->second;
+    int o = OwnerTierLocked(doc_id);
+    owner.emplace(doc_id, o);
+    return o;
   };
   for (size_t t = 0; t < frozen.size(); ++t) {
     const store::IndexSegmentReader::TermEntry* entry =
@@ -331,18 +278,19 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
     // is a logic bug or an I/O fault mid-read, not query input.
     auto postings_or = frozen[t]->Postings(*entry);
     WF_CHECK_OK(postings_or.status());
-    for (const store::TermPostings& tp : postings_or.value()) {
-      const std::string& doc_id = frozen[t]->docs()[tp.doc_ord].id;
-      if (seal_of(doc_id) > static_cast<int>(t)) continue;  // shadowed
-      MergePositions(tp.positions, &acc[doc_id]);
+    for (store::TermPostings& tp : postings_or.value()) {
+      const std::string& doc_id = frozen[t]->docs()[tp.doc_ord];
+      if (owner_of(doc_id) != static_cast<int>(t)) continue;  // shadowed
+      acc[doc_id] = std::move(tp.positions);
     }
   }
   auto it = postings_.lists.find(lower_term);
   if (it != postings_.lists.end()) {
-    // The delta is the newest tier: never shadowed. operator[] records
-    // presence even for position-less concept postings.
+    // The delta is the newest tier: it owns every doc it holds. operator[]
+    // records presence even for position-less concept postings.
     for (const Posting& p : it->second) {
-      MergePositions(PositionsLocked(p), &acc[docs_[p.doc]]);
+      const std::span<const uint32_t> positions = PositionsLocked(p);
+      acc[docs_[p.doc]].assign(positions.begin(), positions.end());
     }
   }
   return acc;
@@ -377,8 +325,8 @@ std::vector<std::string> InvertedIndex::LiveVocabularyLocked(
   std::vector<std::string> out;
   for (std::string& term : MergedVocabularyLocked(prefix)) {
     // Delta lists are never empty, so a delta term is live. Otherwise its
-    // frozen lists are read newest first, up to the first posting no
-    // newer full version shadows.
+    // frozen lists are read newest first, up to the first posting whose
+    // doc that tier owns.
     bool live = postings_.lists.count(term) > 0;
     for (size_t t = frozen.size(); !live && t-- > 0;) {
       const store::IndexSegmentReader::TermEntry* entry =
@@ -387,7 +335,7 @@ std::vector<std::string> InvertedIndex::LiveVocabularyLocked(
       auto postings_or = frozen[t]->Postings(*entry);
       WF_CHECK_OK(postings_or.status());  // checksummed at open
       for (const store::TermPostings& tp : postings_or.value()) {
-        if (SealTierLocked(frozen[t]->docs()[tp.doc_ord].id) <=
+        if (OwnerTierLocked(frozen[t]->docs()[tp.doc_ord]) ==
             static_cast<int>(t)) {
           live = true;
           break;
@@ -523,8 +471,8 @@ std::vector<std::string> InvertedIndex::Range(const std::string& field,
     if (fit == frozen[t]->fields().end()) continue;
     for (const store::FieldValueEntry& entry : fit->second) {
       if (entry.value < lo || entry.value > hi) continue;
-      const std::string& doc_id = frozen[t]->docs()[entry.doc_ord].id;
-      if (SealTierLocked(doc_id) > static_cast<int>(t)) continue;
+      const std::string& doc_id = frozen[t]->docs()[entry.doc_ord];
+      if (OwnerTierLocked(doc_id) != static_cast<int>(t)) continue;
       acc.insert(doc_id);
     }
   }
@@ -551,9 +499,7 @@ size_t InvertedIndex::document_count() const {
   if (frozen_.runs().empty()) return docs_.size();
   std::set<std::string> ids(docs_.begin(), docs_.end());
   for (const auto& reader : frozen_.runs()) {
-    for (const store::IndexDocEntry& doc : reader->docs()) {
-      ids.insert(doc.id);
-    }
+    ids.insert(reader->docs().begin(), reader->docs().end());
   }
   return ids.size();
 }
@@ -589,9 +535,7 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
   data.docs.reserve(order.size());
   for (uint32_t new_ord = 0; new_ord < order.size(); ++new_ord) {
     remap[order[new_ord]] = new_ord;
-    data.docs.push_back(
-        store::IndexDocEntry{docs_[order[new_ord]],
-                             delta_full_[order[new_ord]]});
+    data.docs.push_back(docs_[order[new_ord]]);
   }
   for (const auto& [term, list] : postings_.lists) {
     std::vector<store::TermPostings> tps;
@@ -608,25 +552,25 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
     data.terms.emplace(term, std::move(tps));
   }
   for (const auto& [field, values] : fields_.lists) {
-    // Canonical field entries: (ordinal, value) sorted and deduplicated.
-    std::set<std::pair<uint32_t, double>> canonical;
-    for (const FieldValue& fv : values) {
-      canonical.emplace(remap[fv.doc], fv.value);
-    }
+    // IndexEntity gives a doc one value per field, so ordinal order is
+    // canonical.
     std::vector<store::FieldValueEntry> entries;
-    entries.reserve(canonical.size());
-    for (const auto& [ord, value] : canonical) {
-      entries.push_back(store::FieldValueEntry{value, ord});
+    entries.reserve(values.size());
+    for (const FieldValue& fv : values) {
+      entries.push_back(store::FieldValueEntry{fv.value, remap[fv.doc]});
     }
+    std::sort(entries.begin(), entries.end(),
+              [](const store::FieldValueEntry& a,
+                 const store::FieldValueEntry& b) {
+                return a.doc_ord < b.doc_ord;
+              });
     data.fields.emplace(field, std::move(entries));
   }
   return data;
 }
 
 common::Status InvertedIndex::FreezeLocked() {
-  if (docs_.empty() && postings_.lists.empty() && fields_.lists.empty()) {
-    return common::Status::Ok();
-  }
+  if (docs_.empty()) return common::Status::Ok();
   obs::ScopedTimer timer(freeze_us_);
   const store::IndexSegmentData data = BuildDeltaSegmentLocked();
   // Fail before the manifest swap commits the segment and the delta tier
@@ -639,7 +583,6 @@ common::Status InvertedIndex::FreezeLocked() {
       }));
   docs_.clear();
   doc_ids_.clear();
-  delta_full_.clear();
   postings_ = {};
   fields_ = {};
   positions_.clear();
@@ -658,39 +601,6 @@ void InvertedIndex::UpdateGaugesLocked() const {
 
 // --- Snapshot persistence ---------------------------------------------------
 
-namespace {
-
-// Percent-escape for whitespace-delimited snapshot fields.
-std::string EscapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '%') {
-      out += common::StrFormat("%%%02x", static_cast<unsigned char>(c));
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(
-          std::strtol(s.substr(i + 1, 2).c_str(), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 common::Status InvertedIndex::Save(
     const std::string& path, common::StorageFaultInjector* injector) const {
   const auto& frozen = frozen_.runs();
@@ -705,16 +615,14 @@ common::Status InvertedIndex::Save(
   out << "wfidx 1\n";
   std::set<std::string> doc_set(docs_.begin(), docs_.end());
   for (const auto& reader : frozen) {
-    for (const store::IndexDocEntry& doc : reader->docs()) {
-      doc_set.insert(doc.id);
-    }
+    doc_set.insert(reader->docs().begin(), reader->docs().end());
   }
   std::unordered_map<std::string, uint32_t> ord_of;
   ord_of.reserve(doc_set.size());
   {
     uint32_t ord = 0;
     for (const std::string& doc_id : doc_set) {
-      out << "doc " << ord << " " << EscapeField(doc_id) << "\n";
+      out << "doc " << ord << " " << store::EscapeIndexToken(doc_id) << "\n";
       ord_of.emplace(doc_id, ord);
       ++ord;
     }
@@ -722,7 +630,7 @@ common::Status InvertedIndex::Save(
   for (const std::string& term : MergedVocabularyLocked("")) {
     const auto merged = MergedPostingsLocked(term);
     if (merged.empty()) continue;
-    out << "term " << EscapeField(term);
+    out << "term " << store::EscapeIndexToken(term);
     for (const auto& [doc_id, positions] : merged) {
       out << " " << ord_of[doc_id] << ":";
       for (size_t k = 0; k < positions.size(); ++k) {
@@ -745,8 +653,8 @@ common::Status InvertedIndex::Save(
       auto fit = frozen[t]->fields().find(field);
       if (fit == frozen[t]->fields().end()) continue;
       for (const store::FieldValueEntry& entry : fit->second) {
-        const std::string& doc_id = frozen[t]->docs()[entry.doc_ord].id;
-        if (SealTierLocked(doc_id) > static_cast<int>(t)) continue;
+        const std::string& doc_id = frozen[t]->docs()[entry.doc_ord];
+        if (OwnerTierLocked(doc_id) != static_cast<int>(t)) continue;
         entries.emplace(ord_of[doc_id], entry.value);
       }
     }
@@ -757,100 +665,12 @@ common::Status InvertedIndex::Save(
       }
     }
     for (const auto& [ord, value] : entries) {
-      out << "field " << EscapeField(field) << " " << value << " " << ord
-          << "\n";
+      out << "field " << store::EscapeIndexToken(field) << " " << value << " "
+          << ord << "\n";
     }
   }
   return common::WriteSnapshotFile(path, common::kSnapKindIndex, /*version=*/1,
                                    out.str(), injector);
-}
-
-common::Status InvertedIndex::Load(const std::string& path) {
-  {
-    common::MutexLock lock(mu_);
-    if (frozen_.is_open()) {
-      return common::Status::FailedPrecondition(
-          "segment-mode index loads from its manifest, not a snapshot");
-    }
-  }
-  auto payload_or = common::ReadSnapshotFile(path, common::kSnapKindIndex,
-                                             /*version=*/1);
-  if (!payload_or.ok()) return payload_or.status();
-  std::istringstream in(payload_or.value());
-  std::string header;
-  if (!std::getline(in, header) || header != "wfidx 1") {
-    return common::Status::Corruption("bad index header in " + path);
-  }
-  std::vector<std::string> docs;
-  std::unordered_map<std::string, uint32_t> doc_ids;
-  DeltaLists<Posting> postings;
-  DeltaLists<FieldValue> fields;
-  std::vector<std::vector<uint32_t>> positions;
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> parts = common::Split(line, " ");
-    if (parts.empty()) continue;
-    if (parts[0] == "doc" && parts.size() == 3) {
-      size_t ord = std::stoull(parts[1]);
-      if (ord != docs.size()) {
-        return common::Status::Corruption("doc ordinals out of order");
-      }
-      docs.push_back(UnescapeField(parts[2]));
-      doc_ids[docs.back()] = static_cast<uint32_t>(ord);
-      postings.forward.emplace_back();
-      fields.forward.emplace_back();
-      positions.emplace_back();
-    } else if (parts[0] == "term" && parts.size() >= 2) {
-      if (parts.size() == 2) continue;  // no postings: no list
-      auto list = postings.lists.try_emplace(UnescapeField(parts[1])).first;
-      for (size_t i = 2; i < parts.size(); ++i) {
-        size_t colon = parts[i].find(':');
-        if (colon == std::string::npos) {
-          return common::Status::Corruption("bad posting: " + parts[i]);
-        }
-        Posting p;
-        p.doc = static_cast<uint32_t>(
-            std::stoul(parts[i].substr(0, colon)));
-        if (p.doc >= docs.size()) {
-          return common::Status::Corruption("posting names unknown doc");
-        }
-        std::vector<uint32_t>& doc_positions = positions[p.doc];
-        p.offset = static_cast<uint32_t>(doc_positions.size());
-        std::string pos_list = parts[i].substr(colon + 1);
-        if (!pos_list.empty()) {
-          for (const std::string& pos : common::Split(pos_list, ",")) {
-            doc_positions.push_back(static_cast<uint32_t>(std::stoul(pos)));
-          }
-        }
-        p.count = static_cast<uint32_t>(doc_positions.size()) - p.offset;
-        postings.Push(list, p);
-      }
-    } else if (parts[0] == "field" && parts.size() == 4) {
-      FieldValue fv;
-      fv.value = std::strtod(parts[2].c_str(), nullptr);
-      fv.doc = static_cast<uint32_t>(std::stoul(parts[3]));
-      if (fv.doc >= docs.size()) {
-        return common::Status::Corruption("field value names unknown doc");
-      }
-      fields.Push(fields.lists.try_emplace(UnescapeField(parts[1])).first,
-                  fv);
-    } else {
-      return common::Status::Corruption("unknown index record: " + line);
-    }
-  }
-  common::MutexLock lock(mu_);
-  docs_ = std::move(docs);
-  doc_ids_ = std::move(doc_ids);
-  // A loaded snapshot is the complete image of each doc.
-  delta_full_.assign(docs_.size(), true);
-  // Moving a std::map keeps iterators to its nodes, which the forward
-  // lists hold, valid.
-  postings_ = std::move(postings);
-  fields_ = std::move(fields);
-  positions_ = std::move(positions);
-  return common::Status::Ok();
 }
 
 }  // namespace wf::platform

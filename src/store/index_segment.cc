@@ -1,9 +1,9 @@
 #include "store/index_segment.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <set>
 
 #include "common/durable_file.h"
 #include "common/string_util.h"
@@ -39,7 +39,7 @@ std::string EncodePostingBlock(const std::vector<TermPostings>& postings) {
 }
 
 common::Result<std::vector<TermPostings>> DecodePostingBlock(
-    std::string_view block, const std::string& path) {
+    std::string_view block, size_t ndocs_in_segment, const std::string& path) {
   std::vector<TermPostings> postings;
   size_t pos = 0;
   uint64_t ndocs = 0;
@@ -54,6 +54,9 @@ common::Result<std::vector<TermPostings>> DecodePostingBlock(
       return CorruptIndexSegment(path, "bad posting block ord delta");
     }
     ord = i == 0 ? delta : ord + delta;
+    if (ord >= ndocs_in_segment) {
+      return CorruptIndexSegment(path, "bad posting doc ordinal");
+    }
     TermPostings p;
     p.doc_ord = static_cast<uint32_t>(ord);
     uint64_t npos = 0;
@@ -137,18 +140,21 @@ common::Status WriteIndexSegmentFile(const std::string& path,
   std::string payload =
       common::StrFormat("wfpost 1 %zu %zu %zu\n", data.docs.size(),
                         data.terms.size(), field_lines);
-  std::string_view prev_doc;
   for (size_t i = 0; i < data.docs.size(); ++i) {
-    const IndexDocEntry& doc = data.docs[i];
-    if (i > 0 && !(prev_doc < doc.id)) {
+    const std::string& doc = data.docs[i];
+    if (i > 0 && !(data.docs[i - 1] < doc)) {
       return common::Status::InvalidArgument(
-          "index segment docs not strictly sorted at '" + doc.id + "'");
+          "index segment docs not strictly sorted at '" + doc + "'");
     }
-    prev_doc = doc.id;
-    payload += common::StrFormat("d %d %s\n", doc.full ? 1 : 0,
-                                 EscapeIndexToken(doc.id).c_str());
+    payload += common::StrFormat("d 1 %s\n", EscapeIndexToken(doc).c_str());
   }
   for (const auto& [term, postings] : data.terms) {
+    for (const TermPostings& p : postings) {
+      if (p.doc_ord >= data.docs.size()) {
+        return common::Status::InvalidArgument(
+            "index segment posting of '" + term + "' names no doc");
+      }
+    }
     const std::string block = EncodePostingBlock(postings);
     payload += common::StrFormat("t %s %zu\n",
                                  EscapeIndexToken(term).c_str(), block.size());
@@ -157,6 +163,10 @@ common::Status WriteIndexSegmentFile(const std::string& path,
   }
   for (const auto& [field, entries] : data.fields) {
     for (const FieldValueEntry& entry : entries) {
+      if (entry.doc_ord >= data.docs.size()) {
+        return common::Status::InvalidArgument(
+            "index segment value of field '" + field + "' names no doc");
+      }
       payload += common::StrFormat("f %s %.17g %u\n",
                                    EscapeIndexToken(field).c_str(),
                                    entry.value, entry.doc_ord);
@@ -215,7 +225,6 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
   ++pos;
 
   reader->docs_.reserve(ndocs);
-  std::string prev_doc;
   for (unsigned long long i = 0; i < ndocs; ++i) {
     size_t eol = payload.find('\n', pos);
     if (eol == std::string::npos) {
@@ -223,16 +232,13 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
     }
     std::vector<std::string> parts =
         common::Split(payload.substr(pos, eol - pos), " ");
-    if (parts.size() != 3 || parts[0] != "d") {
+    if (parts.size() != 3 || parts[0] != "d" || parts[1] != "1") {
       return CorruptIndexSegment(path, "bad doc line");
     }
-    IndexDocEntry doc;
-    doc.full = parts[1] == "1";
-    doc.id = UnescapeIndexToken(parts[2]);
-    if (i > 0 && !(prev_doc < doc.id)) {
+    std::string doc = UnescapeIndexToken(parts[2]);
+    if (i > 0 && !(reader->docs_.back() < doc)) {
       return CorruptIndexSegment(path, "docs out of order");
     }
-    prev_doc = doc.id;
     reader->docs_.push_back(std::move(doc));
     pos = eol + 1;
   }
@@ -303,10 +309,8 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
 }
 
 int IndexSegmentReader::FindDoc(std::string_view id) const {
-  auto it = std::lower_bound(
-      docs_.begin(), docs_.end(), id,
-      [](const IndexDocEntry& d, std::string_view key) { return d.id < key; });
-  if (it == docs_.end() || it->id != id) return -1;
+  auto it = std::lower_bound(docs_.begin(), docs_.end(), id);
+  if (it == docs_.end() || *it != id) return -1;
   return static_cast<int>(it - docs_.begin());
 }
 
@@ -334,7 +338,7 @@ common::Result<std::vector<TermPostings>> IndexSegmentReader::Postings(
   if (!in_) {
     return common::Status::IOError("short read from index segment: " + path_);
   }
-  return DecodePostingBlock(block, path_);
+  return DecodePostingBlock(block, docs_.size(), path_);
 }
 
 common::Result<IndexSegmentData> LoadIndexSegmentData(
@@ -352,81 +356,55 @@ common::Result<IndexSegmentData> LoadIndexSegmentData(
 
 IndexSegmentData MergeIndexSegments(
     const std::vector<IndexSegmentData>& tiers) {
-  // seal[doc] = index of the newest tier holding a full version: tiers
-  // older than the seal are shadowed for that doc; -1 = no full version,
-  // every tier holding the doc contributes.
-  std::map<std::string, int> seal;
-  std::map<std::string, bool> merged_full;
-  for (int t = static_cast<int>(tiers.size()) - 1; t >= 0; --t) {
-    for (const IndexDocEntry& doc : tiers[static_cast<size_t>(t)].docs) {
-      auto it = seal.find(doc.id);
-      if (it == seal.end()) {
-        seal[doc.id] = doc.full ? t : -1;
-        merged_full[doc.id] = doc.full;
-      } else if (it->second == -1 && doc.full) {
-        it->second = t;
-        merged_full[doc.id] = true;
-      }
+  // The newest tier holding a doc owns it: doc -> (tier, ordinal there).
+  std::map<std::string, std::pair<size_t, uint32_t>> owner;
+  for (size_t t = 0; t < tiers.size(); ++t) {
+    for (uint32_t ord = 0; ord < tiers[t].docs.size(); ++ord) {
+      owner[tiers[t].docs[ord]] = {t, ord};
     }
   }
-
-  auto contributes = [&seal](int t, const std::string& doc) {
-    auto it = seal.find(doc);
-    return it != seal.end() && (it->second == -1 || t >= it->second);
-  };
-
+  // remap[t][ord]: the merged ordinal of tier t's doc, or kShadowed.
+  constexpr uint32_t kShadowed = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> remap(tiers.size());
+  for (size_t t = 0; t < tiers.size(); ++t) {
+    remap[t].assign(tiers[t].docs.size(), kShadowed);
+  }
   IndexSegmentData merged;
-  merged.docs.reserve(seal.size());
-  std::map<std::string, uint32_t> ord_of;
-  for (const auto& [id, full] : merged_full) {
-    ord_of[id] = static_cast<uint32_t>(merged.docs.size());
-    merged.docs.push_back(IndexDocEntry{id, full});
+  merged.docs.reserve(owner.size());
+  for (const auto& [doc, at] : owner) {
+    remap[at.first][at.second] = static_cast<uint32_t>(merged.docs.size());
+    merged.docs.push_back(doc);
   }
 
-  // term -> doc -> merged position set (map keys keep everything sorted,
-  // so rebuilt postings come out in canonical ordinal order).
-  std::map<std::string, std::map<std::string, std::set<uint32_t>>> acc;
+  // Copy the owners' entries, then restore ordinal order in each list.
   for (size_t t = 0; t < tiers.size(); ++t) {
-    const IndexSegmentData& tier = tiers[t];
-    for (const auto& [term, postings] : tier.terms) {
+    for (const auto& [term, postings] : tiers[t].terms) {
       for (const TermPostings& p : postings) {
-        const std::string& doc = tier.docs[p.doc_ord].id;
-        if (!contributes(static_cast<int>(t), doc)) continue;
-        std::set<uint32_t>& positions = acc[term][doc];
-        positions.insert(p.positions.begin(), p.positions.end());
+        const uint32_t ord = remap[t][p.doc_ord];
+        if (ord != kShadowed) {
+          merged.terms[term].push_back(TermPostings{ord, p.positions});
+        }
       }
     }
-  }
-  for (const auto& [term, by_doc] : acc) {
-    std::vector<TermPostings>& postings = merged.terms[term];
-    postings.reserve(by_doc.size());
-    for (const auto& [doc, positions] : by_doc) {
-      TermPostings p;
-      p.doc_ord = ord_of[doc];
-      p.positions.assign(positions.begin(), positions.end());
-      postings.push_back(std::move(p));
-    }
-  }
-
-  // field -> set of (doc id, value): dedupes repeats across partial tiers
-  // and orders entries canonically by (doc, value).
-  std::map<std::string, std::set<std::pair<std::string, double>>> facc;
-  for (size_t t = 0; t < tiers.size(); ++t) {
-    const IndexSegmentData& tier = tiers[t];
-    for (const auto& [field, entries] : tier.fields) {
+    for (const auto& [field, entries] : tiers[t].fields) {
       for (const FieldValueEntry& entry : entries) {
-        const std::string& doc = tier.docs[entry.doc_ord].id;
-        if (!contributes(static_cast<int>(t), doc)) continue;
-        facc[field].insert({doc, entry.value});
+        const uint32_t ord = remap[t][entry.doc_ord];
+        if (ord != kShadowed) {
+          merged.fields[field].push_back(FieldValueEntry{entry.value, ord});
+        }
       }
     }
   }
-  for (const auto& [field, entries] : facc) {
-    std::vector<FieldValueEntry>& out = merged.fields[field];
-    out.reserve(entries.size());
-    for (const auto& [doc, value] : entries) {
-      out.push_back(FieldValueEntry{value, ord_of[doc]});
-    }
+  // A doc's entries all come from its owner, in canonical order; the
+  // stable sort keeps that order among them.
+  const auto by_ord = [](const auto& a, const auto& b) {
+    return a.doc_ord < b.doc_ord;
+  };
+  for (auto& [term, postings] : merged.terms) {
+    std::stable_sort(postings.begin(), postings.end(), by_ord);
+  }
+  for (auto& [field, entries] : merged.fields) {
+    std::stable_sort(entries.begin(), entries.end(), by_ord);
   }
   return merged;
 }

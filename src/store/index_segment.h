@@ -23,27 +23,23 @@ namespace wf::store {
 // varint delta-compressed posting blocks, and the numeric field entries:
 //
 //   wfpost 1 <ndocs> <nterms> <nfield-lines>\n
-//   d <full> <escaped-doc-id>\n                  (ndocs, sorted by id)
+//   d 1 <escaped-doc-id>\n                       (ndocs, sorted by id)
 //   t <escaped-term> <block-bytes>\n<block>\n    (nterms, sorted by term)
 //   f <escaped-field> <value> <doc-ord>\n        (field lines, sorted)
 //
 // A posting block is varint-coded: doc count, then per doc its ordinal
 // delta, position count, and position deltas — small and cheap to skip.
-// Doc ordinals are positions in this segment's own sorted doc table.
+// Doc ordinals are positions in this segment's own sorted doc table; the
+// writer refuses, and the reader rejects as Corruption, an ordinal past it.
 //
-// `full` records whether the segment holds the doc's complete postings
-// (a real (re)index) or only incremental additions (concept tokens /
-// field values added after the doc was last frozen). A full entry shadows
-// every older tier for that doc; a partial one merges with them.
+// Every doc in a segment is a whole version: all of the entity's postings
+// and field values. The newest tier holding a doc owns it and shadows
+// every older one. The `1` on a doc line is that whole-version mark; the
+// reader rejects any other value.
 //
 // The payload is a pure function of the logical content (docs sorted,
 // terms sorted, postings in ordinal order), so equal logical tiers freeze
 // to byte-identical files — the determinism contract of DESIGN.md §13.
-
-struct IndexDocEntry {
-  std::string id;
-  bool full = true;
-};
 
 struct TermPostings {
   uint32_t doc_ord = 0;
@@ -57,7 +53,7 @@ struct FieldValueEntry {
 
 // The logical content of one frozen tier, in canonical order.
 struct IndexSegmentData {
-  std::vector<IndexDocEntry> docs;  // sorted by id, unique
+  std::vector<std::string> docs;  // ids, sorted and unique
   std::map<std::string, std::vector<TermPostings>> terms;  // ords ascending
   std::map<std::string, std::vector<FieldValueEntry>> fields;
 };
@@ -87,13 +83,14 @@ class IndexSegmentReader {
   IndexSegmentReader(const IndexSegmentReader&) = delete;
   IndexSegmentReader& operator=(const IndexSegmentReader&) = delete;
 
-  const std::vector<IndexDocEntry>& docs() const { return docs_; }
+  const std::vector<std::string>& docs() const { return docs_; }
   // -1 when the doc is not in this segment, else its ordinal.
   int FindDoc(std::string_view id) const;
 
   const std::vector<TermEntry>& terms() const { return terms_; }
   const TermEntry* FindTerm(std::string_view term) const;
-  // Decodes one term's postings (segment-local doc ordinals).
+  // Decodes one term's postings (segment-local doc ordinals). Corruption
+  // when an ordinal is past the doc table.
   common::Result<std::vector<TermPostings>> Postings(
       const TermEntry& entry) const;
 
@@ -109,7 +106,7 @@ class IndexSegmentReader {
  private:
   std::string path_;
   uint64_t file_bytes_ = 0;
-  std::vector<IndexDocEntry> docs_;
+  std::vector<std::string> docs_;
   std::vector<TermEntry> terms_;
   std::map<std::string, std::vector<FieldValueEntry>> fields_;
   mutable std::ifstream in_;
@@ -119,11 +116,9 @@ class IndexSegmentReader {
 common::Result<IndexSegmentData> LoadIndexSegmentData(
     const IndexSegmentReader& reader);
 
-// Merges tiers oldest → newest into one canonical tier. Per doc, versions
-// are collected newest-first until (and including) the first full one:
-// a full version shadows everything older, partial versions merge their
-// postings and field values. Doc ordinals are remapped into the merged
-// sorted doc table.
+// Merges tiers oldest → newest into one canonical tier. Each doc keeps
+// only the version of the newest tier holding it; its ordinals are
+// remapped into the merged sorted doc table.
 IndexSegmentData MergeIndexSegments(const std::vector<IndexSegmentData>& tiers);
 
 // Percent-escaping shared by the index segment format (space, newline,

@@ -134,21 +134,14 @@ TEST(TrendingTest, BucketsSentimentByMonth) {
   AdHocSentimentMinerPlugin sentiment(&lexicon, &patterns);
 
   DataStore store;
-  ASSERT_TRUE(store.Put(Doc("jan", "Analysts admire Veraxin.", "2004-01"))
-                  .ok());
-  ASSERT_TRUE(
-      store.Put(Doc("feb1", "Lawsuits plague Veraxin.", "2004-02")).ok());
-  ASSERT_TRUE(
-      store.Put(Doc("feb2", "Regulators condemn Veraxin.", "2004-02"))
-          .ok());
-  ASSERT_TRUE(store.Put(Doc("undated", "Analysts admire Veraxin.")).ok());
-  ASSERT_TRUE(store
-                  .ForEachMutable([&sentiment](Entity& e) {
-                    ASSERT_TRUE(
-                        sentiment.Process(e, {*core::AnalyzeDocument(e.body())})
-                            .ok());
-                  })
-                  .ok());
+  // Each doc is mined before it is stored.
+  for (Entity e : {Doc("jan", "Analysts admire Veraxin.", "2004-01"),
+                   Doc("feb1", "Lawsuits plague Veraxin.", "2004-02"),
+                   Doc("feb2", "Regulators condemn Veraxin.", "2004-02"),
+                   Doc("undated", "Analysts admire Veraxin.")}) {
+    ASSERT_TRUE(sentiment.Process(e, {*core::AnalyzeDocument(e.body())}).ok());
+    ASSERT_TRUE(store.Put(std::move(e)).ok());
+  }
 
   TrendingMiner miner;
   ASSERT_TRUE(miner.Run(store).ok());
@@ -230,13 +223,6 @@ TEST(IndexRangeTest, NonNumericFieldsIgnored) {
   a.SetField("url", "http://x");
   index.IndexEntity(a);
   EXPECT_TRUE(index.Range("url", 0, 1e18).empty());
-}
-
-TEST(IndexRangeTest, ExplicitFieldValues) {
-  InvertedIndex index;
-  index.AddFieldValue("d1", "rank", 3);
-  index.AddFieldValue("d2", "rank", 9);
-  EXPECT_EQ(index.Range("rank", 1, 5), (std::vector<std::string>{"d1"}));
 }
 
 TEST(IndexRegexTest, MatchesVocabulary) {

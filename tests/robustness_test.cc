@@ -6,7 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "common/durable_file.h"
 #include "common/rng.h"
 #include "core/miner.h"
 #include "lexicon/pattern_db.h"
@@ -14,6 +16,8 @@
 #include "platform/data_store.h"
 #include "platform/indexer.h"
 #include "platform/vinci.h"
+#include "store/index_segment.h"
+#include "store/varint.h"
 
 namespace wf {
 namespace {
@@ -130,22 +134,28 @@ TEST_F(RobustnessTest, DataStoreLoadGarbageSizeLine) {
   std::filesystem::remove(path);
 }
 
-TEST_F(RobustnessTest, IndexSaveLoadRoundTrip) {
-  platform::InvertedIndex index;
-  platform::Entity a("doc a", "t");  // id with a space (escaping path)
-  a.SetBody("the battery is excellent");
-  a.SetField("date", "2004-05");
-  a.AddConceptToken("sent/+/battery");
-  index.IndexEntity(a);
-  platform::Entity b("doc-b", "t");
-  b.SetBody("picture quality wins");
-  index.IndexEntity(b);
-
-  std::string path = "/tmp/wf_index_snapshot.wfidx";
-  ASSERT_TRUE(index.Save(path).ok());
+TEST_F(RobustnessTest, IndexFreezeReopenRoundTrip) {
+  // Segments are the index's one restore path: escaping, positions,
+  // concept tokens and field values must all come back from them.
+  const std::string dir = "/tmp/wf_index_freeze_reopen";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    platform::InvertedIndex index;
+    ASSERT_TRUE(index.EnableSegments(dir, "idx").ok());
+    platform::Entity a("doc a", "t");  // id with a space (escaping path)
+    a.SetBody("the battery is excellent");
+    a.SetField("date", "2004-05");
+    a.AddConceptToken("sent/+/battery");
+    index.IndexEntity(a);
+    platform::Entity b("doc-b", "t");
+    b.SetBody("picture quality wins");
+    index.IndexEntity(b);
+    ASSERT_TRUE(index.Freeze().ok());
+  }
 
   platform::InvertedIndex restored;
-  ASSERT_TRUE(restored.Load(path).ok());
+  ASSERT_TRUE(restored.EnableSegments(dir, "idx").ok());
   EXPECT_EQ(restored.document_count(), 2u);
   EXPECT_EQ(restored.Term("battery"), (std::vector<std::string>{"doc a"}));
   EXPECT_EQ(restored.Phrase({"picture", "quality"}),
@@ -154,28 +164,32 @@ TEST_F(RobustnessTest, IndexSaveLoadRoundTrip) {
             (std::vector<std::string>{"doc a"}));
   EXPECT_EQ(restored.Range("date", 20040101, 20041231),
             (std::vector<std::string>{"doc a"}));
-  std::filesystem::remove(path);
-}
-
-TEST_F(RobustnessTest, IndexLoadRejectsBadHeader) {
-  std::string path = "/tmp/wf_bad_index.wfidx";
-  {
-    std::ofstream out(path);
-    out << "something else\n";
-  }
-  platform::InvertedIndex index;
-  EXPECT_EQ(index.Load(path).code(), common::StatusCode::kCorruption);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RobustnessTest, IndexLoadRejectsDanglingPosting) {
-  std::string path = "/tmp/wf_dangling_index.wfidx";
-  {
-    std::ofstream out(path);
-    out << "wfidx 1\ndoc 0 a\nterm word 5:1\n";  // doc 5 does not exist
-  }
-  platform::InvertedIndex index;
-  EXPECT_EQ(index.Load(path).code(), common::StatusCode::kCorruption);
+  // A checksummed segment whose one posting names doc 5 of a one-doc
+  // table: reading that posting is Corruption, never an unknown doc.
+  std::string block;
+  store::PutVarint(1, &block);  // one posting
+  store::PutVarint(5, &block);  // its doc ordinal
+  store::PutVarint(0, &block);  // no positions
+  const std::string payload = "wfpost 1 1 1 0\nd 1 a\nt word " +
+                              std::to_string(block.size()) + "\n" + block +
+                              "\n";
+  std::string path = "/tmp/wf_dangling_index.wfseg";
+  ASSERT_TRUE(common::WriteSnapshotFile(path, common::kSnapKindIndexSegment,
+                                        /*version=*/1, payload)
+                  .ok());
+  auto reader = store::IndexSegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const store::IndexSegmentReader::TermEntry* term =
+      reader.value()->FindTerm("word");
+  ASSERT_NE(term, nullptr);
+  EXPECT_EQ(reader.value()->Postings(*term).status().code(),
+            common::StatusCode::kCorruption);
+  EXPECT_EQ(store::LoadIndexSegmentData(*reader.value()).status().code(),
+            common::StatusCode::kCorruption);
   std::filesystem::remove(path);
 }
 

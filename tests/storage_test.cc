@@ -526,13 +526,16 @@ TEST(FrozenIndexTest, TieredIndexAnswersExactlyLikeEphemeral) {
     idx.IndexEntity(ReviewEntity("d1", "the battery life is great", 4.5));
     idx.IndexEntity(ReviewEntity("d2", "battery drains fast and hot", 2.0));
   });
-  ASSERT_TRUE(tiered.Freeze().ok());  // tier 1: d1, d2 full
+  ASSERT_TRUE(tiered.Freeze().ok());  // tier 1: d1, d2
   both([](InvertedIndex& idx) {
     idx.IndexEntity(ReviewEntity("d3", "screen is great but battery poor",
                                  3.0));
-    // Incremental touches on a frozen doc: must merge, not shadow.
-    idx.AddConceptToken("d1", "Sentiment/Positive");
-    idx.AddFieldValue("d1", "helpfulness", 10);
+    // A frozen doc gains a concept token and a field: its new version is
+    // the whole entity again and shadows the frozen one.
+    Entity d1 = ReviewEntity("d1", "the battery life is great", 4.5);
+    d1.AddConceptToken("Sentiment/Positive");
+    d1.SetField("helpfulness", "10");
+    idx.IndexEntity(d1);
   });
   ASSERT_TRUE(tiered.Freeze().ok());  // tier 2 → compaction (fanout 2)
   both([](InvertedIndex& idx) {
@@ -605,9 +608,6 @@ TEST(FrozenIndexTest, FrozenTiersSurviveReopen) {
   EXPECT_EQ(re.Phrase({"battery", "life"}),
             (std::vector<std::string>{"d1"}));
   EXPECT_EQ(re.Range("rating", 3.0, 5.0), (std::vector<std::string>{"d1"}));
-  // Load is refused once the manifest owns disk state.
-  EXPECT_EQ(re.Load(dir.File("whatever")).code(),
-            common::StatusCode::kFailedPrecondition);
 }
 
 TEST(FrozenIndexTest, FullyShadowedFrozenTermsLeaveTheVocabulary) {
@@ -623,7 +623,9 @@ TEST(FrozenIndexTest, FullyShadowedFrozenTermsLeaveTheVocabulary) {
   EXPECT_TRUE(idx.VocabularyWithPrefix("al").empty());
   ASSERT_TRUE(idx.Freeze().ok());  // a layout change, not a content one
   EXPECT_EQ(idx.vocabulary_size(), 1u);
-  idx.AddConceptToken("d2", "alpha");
+  Entity d2("d2", "reviews");
+  d2.AddConceptToken("alpha");
+  idx.IndexEntity(d2);
   EXPECT_EQ(idx.vocabulary_size(), 2u);
   EXPECT_EQ(idx.VocabularyWithPrefix("al"),
             (std::vector<std::string>{"alpha"}));
@@ -668,8 +670,9 @@ TEST(FrozenIndexTest, CorruptSegmentOrManifestRejectedAtEveryByte) {
   {
     InvertedIndex idx;
     ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx").ok());
-    idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
-    idx.AddConceptToken("d1", "Sentiment/Positive");
+    Entity d1 = ReviewEntity("d1", "battery life is great", 4.0);
+    d1.AddConceptToken("Sentiment/Positive");
+    idx.IndexEntity(d1);
     ASSERT_TRUE(idx.Freeze().ok());
   }
   for (const char* name : {"idx-1.wfseg", "idx.manifest"}) {
@@ -697,6 +700,51 @@ TEST(FrozenIndexTest, CorruptSegmentOrManifestRejectedAtEveryByte) {
   }
 }
 
+// A segment file written by hand: `payload` under the checksummed envelope.
+void WriteIndexSegmentPayload(const std::string& path,
+                              const std::string& payload) {
+  ASSERT_TRUE(common::WriteSnapshotFile(path, common::kSnapKindIndexSegment,
+                                        /*version=*/1, payload)
+                  .ok());
+}
+
+// Every doc in a segment is a whole version, marked `d 1`. A `d 0` line
+// (a partial version) is refused, not read as a doc of some other kind.
+TEST(IndexSegmentTest, PartialDocLineIsCorruption) {
+  ScopedTempDir dir("partial_doc");
+  WriteIndexSegmentPayload(dir.File("whole.wfseg"), "wfpost 1 1 0 0\nd 1 a\n");
+  auto whole = store::IndexSegmentReader::Open(dir.File("whole.wfseg"));
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole.value()->docs(), (std::vector<std::string>{"a"}));
+  WriteIndexSegmentPayload(dir.File("partial.wfseg"),
+                           "wfpost 1 1 0 0\nd 0 a\n");
+  EXPECT_EQ(store::IndexSegmentReader::Open(dir.File("partial.wfseg"))
+                .status()
+                .code(),
+            common::StatusCode::kCorruption);
+}
+
+// The writer refuses a posting or a field value naming an ordinal past
+// the doc table, as it refuses unsorted docs; nothing reaches the disk.
+TEST(IndexSegmentTest, WriterRejectsDanglingOrdinals) {
+  ScopedTempDir dir("dangling_write");
+  store::IndexSegmentData posting;
+  posting.docs = {"a"};
+  posting.terms["word"] = {store::TermPostings{5, {0}}};
+  EXPECT_EQ(store::WriteIndexSegmentFile(dir.File("p.wfseg"), posting,
+                                         nullptr, nullptr)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  store::IndexSegmentData field;
+  field.docs = {"a"};
+  field.fields["rating"] = {store::FieldValueEntry{4.0, 1}};
+  EXPECT_EQ(store::WriteIndexSegmentFile(dir.File("f.wfseg"), field, nullptr,
+                                         nullptr)
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(DirFiles(dir.path()).empty());
+}
+
 // The canonical image of `idx` (Save bytes): its whole logical content.
 std::string IndexImage(const InvertedIndex& idx, const std::string& path) {
   EXPECT_TRUE(idx.Save(path).ok());
@@ -708,10 +756,13 @@ std::string IndexImage(const InvertedIndex& idx, const std::string& path) {
 // Power dies at each durable op in turn; the reopened index must hold
 // exactly the committed generation or exactly the full one.
 TEST(FrozenIndexTest, CompactionCrashAtEveryOpKeepsOldTiersIntact) {
-  const auto committed_ops = [](InvertedIndex& idx) {
+  // d1's second version carries a miner's concept token.
+  Entity tagged = ReviewEntity("d1", "battery life is great", 4.0);
+  tagged.AddConceptToken("Sentiment/Positive");
+  const auto committed_ops = [&tagged](InvertedIndex& idx) {
     idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
     idx.IndexEntity(ReviewEntity("d2", "screen glare", 2.0));
-    idx.AddConceptToken("d1", "Sentiment/Positive");
+    idx.IndexEntity(tagged);
   };
   const auto last_ops = [](InvertedIndex& idx) {
     idx.IndexEntity(ReviewEntity("d1", "battery died fast", 1.0));
@@ -737,7 +788,7 @@ TEST(FrozenIndexTest, CompactionCrashAtEveryOpKeepsOldTiersIntact) {
     idx.IndexEntity(ReviewEntity("d1", "battery life is great", 4.0));
     ASSERT_TRUE(idx.Freeze().ok());
     idx.IndexEntity(ReviewEntity("d2", "screen glare", 2.0));
-    idx.AddConceptToken("d1", "Sentiment/Positive");
+    idx.IndexEntity(tagged);
     ASSERT_TRUE(idx.Freeze().ok());  // the second run compacts
     last_ops(idx);
     injector.ArmOpCrash(dir.path(), crash_at);
@@ -879,10 +930,13 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
   ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx", nullptr,
                                  /*compaction_fanout=*/2)
                   .ok());
+  // Each id's newest version: a touch re-indexes it whole.
+  std::map<std::string, Entity> latest;
   for (size_t step = 0; step < 7 * 30; ++step) {
     // Ids repeat across freezes, so later runs re-index frozen docs.
-    Entity e(common::StrFormat("doc-%02zu", Pick("id", step, 120)),
-             "reviews");
+    const std::string id =
+        common::StrFormat("doc-%02zu", Pick("id", step, 120));
+    Entity e(id, "reviews");
     std::string body;
     for (size_t w = 0; w < 12 + Pick("n", step, 12); ++w) {
       if (w > 0) body += " ";
@@ -893,10 +947,14 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
     e.AddConceptToken(Pick("pol", step, 2) == 0 ? "Sentiment/Positive"
                                                : "Sentiment/Negative");
     idx.IndexEntity(e);
+    latest[id] = std::move(e);
     if (Pick("touch", step, 4) == 0) {
-      idx.AddConceptToken(
-          common::StrFormat("doc-%02zu", Pick("t", step, 120)),
-          "Subject/" + words[Pick("s", step, words.size())]);
+      // An id never indexed before starts as an empty entity.
+      const std::string touched =
+          common::StrFormat("doc-%02zu", Pick("t", step, 120));
+      Entity& t = latest.try_emplace(touched, touched, "reviews").first->second;
+      t.AddConceptToken("Subject/" + words[Pick("s", step, words.size())]);
+      idx.IndexEntity(t);
     }
     if (step % 30 == 29) {
       ASSERT_TRUE(idx.Freeze().ok());
@@ -904,7 +962,7 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
   }
   std::set<size_t> tiers;
   EXPECT_EQ(LayoutFingerprint(dir.path(), "idx", &tiers),
-            0x2195b9e3e2892789ull);
+            0xa65347af74840999ull);
   EXPECT_GE(tiers.size(), 2u);
 }
 
