@@ -5,15 +5,14 @@
 // mining speed-up with nodes, flat scatter/gather query latency) should
 // hold in the simulation.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <new>
 #include <thread>
 
+#include "bench/alloc_hook.h"
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -31,31 +30,6 @@
 #include "platform/miner_framework.h"
 #include "platform/query_service.h"
 #include "platform/sentiment_miner_plugin.h"
-
-// This TU replaces operator new with a malloc-backed counting allocator;
-// GCC's inliner then sees malloc'd pointers reach the (replaced,
-// free-backed) delete and flags a mismatch that is not one.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-// Counting global allocator so the mining sweep can report allocations per
-// analyzed document alongside throughput — the number the arena/interner
-// front half is supposed to hold down (tests/alloc_gate_test.cc gates it;
-// this bench trends it). One relaxed atomic increment per allocation is
-// noise next to malloc itself.
-static std::atomic<uint64_t> g_new_calls{0};
-
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 int main() {
   using namespace wf;
@@ -207,13 +181,14 @@ int main() {
     platform::MinerPipeline pipeline;
     pipeline.AddMiner(
         std::make_unique<platform::AdHocSentimentMinerPlugin>(&lex, &patterns));
-    const uint64_t allocs_before =
-        g_new_calls.load(std::memory_order_relaxed);
+    // Allocations per analyzed document alongside throughput: the number
+    // the arena/interner front half holds down (tests/alloc_gate_test.cc
+    // gates it; this bench trends it).
+    const uint64_t allocs_before = bench::Heap().allocations;
     auto m0 = Clock::now();
     pipeline.ProcessStore(store, &executor);
     auto m1 = Clock::now();
-    const uint64_t allocs =
-        g_new_calls.load(std::memory_order_relaxed) - allocs_before;
+    const uint64_t allocs = bench::Heap().allocations - allocs_before;
 
     size_t stored = store.size();
     double mine_ms = std::chrono::duration<double, std::milli>(m1 - m0).count();

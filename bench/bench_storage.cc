@@ -3,7 +3,9 @@
 // 1x / 10x / 100x the seed corpus, under a fixed memtable ceiling. The
 // point of the exercise is the out-of-RAM story: throughput should stay
 // flat-ish while the resident delta tier stays bounded no matter how big
-// the shard grows.
+// the shard grows. A second sweep indexes the same entities into an
+// inverted index that freezes a run every 600 docs and compacts at fanout
+// 4, so index runs are written and merged at scale too.
 
 #include <algorithm>
 #include <chrono>
@@ -19,6 +21,7 @@
 #include "obs/metrics.h"
 #include "platform/data_store.h"
 #include "platform/entity.h"
+#include "platform/indexer.h"
 
 int main() {
   using namespace wf;
@@ -39,6 +42,19 @@ int main() {
                             "Memtable KiB"});
   bench::BenchJsonWriter json("storage");
 
+  // The sweep's entities: synthetic review bodies, ids hashed off the seed
+  // so the sweep is reproducible.
+  const auto entity = [seed](size_t i) {
+    platform::Entity e(
+        common::StrFormat("doc-%llu-%zu",
+                          static_cast<unsigned long long>(seed), i),
+        "bench");
+    e.SetBody(common::StrFormat(
+        "review %zu: the battery life is %s and the screen %s", i,
+        i % 3 == 0 ? "great" : "poor", i % 2 == 0 ? "shines" : "glares"));
+    return e;
+  };
+
   // ~600 entities is the seed corpus's order of magnitude (E1).
   for (size_t scale : {1, 10, 100}) {
     const size_t entities = 600 * scale;
@@ -52,19 +68,8 @@ int main() {
     opts.memtable_ceiling_bytes = 64 << 10;
     WF_CHECK_OK(ds.EnableSegments(dir, "shard", opts));
 
-    // Ingest: synthetic review bodies, ids hashed off the seed so the
-    // sweep is reproducible.
     auto t0 = Clock::now();
-    for (size_t i = 0; i < entities; ++i) {
-      platform::Entity e(
-          common::StrFormat("doc-%llu-%zu",
-                            static_cast<unsigned long long>(seed), i),
-          "bench");
-      e.SetBody(common::StrFormat(
-          "review %zu: the battery life is %s and the screen %s", i,
-          i % 3 == 0 ? "great" : "poor", i % 2 == 0 ? "shines" : "glares"));
-      WF_CHECK_OK(ds.Upsert(std::move(e)));
-    }
+    for (size_t i = 0; i < entities; ++i) WF_CHECK_OK(ds.Upsert(entity(i)));
     auto t1 = Clock::now();
 
     // Point reads: a strided sweep touching every tier.
@@ -116,7 +121,56 @@ int main() {
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Flushes grow with the corpus while the memtable stays under "
               "its ceiling; compaction keeps the segment count sublinear in "
-              "the flush count (size-tiered merging).\n");
+              "the flush count (size-tiered merging).\n\n");
+
+  // Index runs: the same entities, a freeze every 600 docs (a checkpoint's
+  // worth), size-tiered compaction at fanout 4. Freeze time includes the
+  // compactions a freeze triggers.
+  constexpr size_t kDocsPerFreeze = 600;
+  eval::TablePrinter itable({"Scale", "Entities", "Freezes", "Compactions",
+                             "Runs", "Freeze us/doc"});
+  for (size_t scale : {1, 10, 100}) {
+    const size_t entities = 600 * scale;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    obs::MetricsRegistry metrics;
+    platform::InvertedIndex index;
+    index.AttachMetrics(&metrics);
+    WF_CHECK_OK(index.EnableSegments(dir, "index", nullptr,
+                                     /*compaction_fanout=*/4));
+    double freeze_s = 0.0;
+    for (size_t i = 0; i < entities; ++i) {
+      index.IndexEntity(entity(i));
+      if ((i + 1) % kDocsPerFreeze == 0) {
+        auto f0 = Clock::now();
+        WF_CHECK_OK(index.Freeze());
+        freeze_s += std::chrono::duration<double>(Clock::now() - f0).count();
+      }
+    }
+    WF_CHECK(index.document_count() == entities);
+    const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    const uint64_t freezes = snapshot.CounterValue("index/freezes_total");
+    const uint64_t compactions =
+        snapshot.CounterValue("index/compactions_total");
+    const size_t runs = index.frozen_segment_count();
+    const double freeze_us_per_doc = 1e6 * freeze_s / entities;
+    itable.AddRow({common::StrFormat("%zux", scale), std::to_string(entities),
+                   std::to_string(freezes), std::to_string(compactions),
+                   std::to_string(runs),
+                   common::StrFormat("%.2f", freeze_us_per_doc)});
+    json.AddRow("index_sweep",
+                {bench::Int("scale", scale), bench::Int("entities", entities),
+                 bench::Int("freezes", freezes),
+                 bench::Int("compactions", compactions),
+                 bench::Int("runs", runs),
+                 bench::Num("freeze_us_per_doc", freeze_us_per_doc),
+                 bench::Int("bytes_written",
+                            snapshot.CounterValue("index/bytes_written_total"))});
+  }
+  std::printf("%s\n", itable.ToString().c_str());
+  std::printf("Every freeze writes one run and every compaction merges four "
+              "same-tier runs into one, term by term, so the run count "
+              "stays logarithmic in the freezes.\n");
   const std::string path = json.WriteFile();
   if (!path.empty()) std::printf("JSON: %s\n", path.c_str());
   std::filesystem::remove_all(dir);

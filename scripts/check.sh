@@ -54,19 +54,25 @@ print("BENCH_mining.json: %d mining rows, %d e2e rows, us/doc ratio %.2f"
 PY
 
 # bench_storage is the one bench that drives segment flushes and
-# compactions at scale (1x/10x/100x the seed corpus, ~2 s). Its counts are
-# a pure function of the seed and the size-tier policy, so the smoke run
-# pins them: a changed flush or compaction schedule fails here.
+# compactions at scale (1x/10x/100x the seed corpus, ~2 s), for the store
+# and for index runs (a freeze every 600 docs, compaction at fanout 4).
+# Its counts are a pure function of the seed, the run bytes and the
+# size-tier policy, so the smoke run pins them: a changed flush, freeze or
+# compaction schedule fails here.
 step "bench smoke: bench_storage (WF_BENCH_SEED=42)"
 (cd "${BENCH_TMP}" &&
   WF_BENCH_SEED=42 "${ROOT}/build/bench/bench_storage" >/dev/null)
 python3 - "${BENCH_TMP}/BENCH_storage.json" <<'PY'
 import json, sys
-rows = json.load(open(sys.argv[1]))["sections"]["scale_sweep"]
+sections = json.load(open(sys.argv[1]))["sections"]
 got = [(r["scale"], r["flushes"], r["compactions"], r["segments"])
-       for r in rows]
+       for r in sections["scale_sweep"]]
 assert got == [(1, 1, 0, 1), (10, 15, 3, 6), (100, 161, 52, 5)], got
 print("BENCH_storage.json: (scale, flushes, compactions, segments) %s" % got)
+got = [(r["scale"], r["freezes"], r["compactions"], r["runs"])
+       for r in sections["index_sweep"]]
+assert got == [(1, 1, 0, 1), (10, 10, 2, 4), (100, 100, 32, 4)], got
+print("BENCH_storage.json: (scale, freezes, compactions, runs) %s" % got)
 PY
 
 step "wflint: src/ + tests/"

@@ -1,8 +1,8 @@
 #include "common/durable_file.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -228,9 +228,12 @@ void DurableFile::Close() {
 
 // --- Whole-file helpers -----------------------------------------------------
 
-common::Status WriteFileAtomic(const std::string& path,
-                               std::string_view content,
-                               StorageFaultInjector* injector) {
+namespace {
+
+// WriteFileAtomic over the concatenation of `parts`.
+common::Status WritePartsAtomic(const std::string& path,
+                                std::span<const std::string_view> parts,
+                                StorageFaultInjector* injector) {
   if (injector != nullptr) {
     WF_RETURN_IF_ERROR(injector->CheckWritable(path));
   }
@@ -238,7 +241,9 @@ common::Status WriteFileAtomic(const std::string& path,
   {
     std::ofstream out(tmp_path, std::ios::trunc | std::ios::binary);
     if (!out) return Status::IOError("cannot open for write: " + tmp_path);
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+    for (std::string_view part : parts) {
+      out.write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
     out.flush();
     if (!out) {
       std::remove(tmp_path.c_str());
@@ -252,12 +257,24 @@ common::Status WriteFileAtomic(const std::string& path,
   return Status::Ok();
 }
 
+}  // namespace
+
+common::Status WriteFileAtomic(const std::string& path,
+                               std::string_view content,
+                               StorageFaultInjector* injector) {
+  const std::string_view parts[] = {content};
+  return WritePartsAtomic(path, parts, injector);
+}
+
 common::Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failed: " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IOError("cannot size: " + path);
+  std::string content(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  in.read(content.data(), size);
+  if (in.gcount() != size) return Status::IOError("read failed: " + path);
   return content;
 }
 
@@ -274,58 +291,76 @@ constexpr char kSnapshotMagic[] = "wfsnap";
 
 common::Status WriteSnapshotFile(const std::string& path,
                                  const std::string& kind, uint32_t version,
+                                 std::span<const std::string_view> parts,
+                                 StorageFaultInjector* injector) {
+  size_t payload_size = 0;
+  uint64_t checksum = kFnv1a64Basis;
+  for (std::string_view part : parts) {
+    payload_size += part.size();
+    checksum = Fnv1a64(part, checksum);
+  }
+  const std::string header =
+      StrFormat("%s %s %u %zu %016llx\n", kSnapshotMagic, kind.c_str(),
+                version, payload_size,
+                static_cast<unsigned long long>(checksum));
+  std::vector<std::string_view> file;
+  file.reserve(parts.size() + 1);
+  file.push_back(header);
+  file.insert(file.end(), parts.begin(), parts.end());
+  return WritePartsAtomic(path, file, injector);
+}
+
+common::Status WriteSnapshotFile(const std::string& path,
+                                 const std::string& kind, uint32_t version,
                                  std::string_view payload,
                                  StorageFaultInjector* injector) {
-  std::string file = StrFormat("%s %s %u %zu %016llx\n", kSnapshotMagic,
-                               kind.c_str(), version, payload.size(),
-                               static_cast<unsigned long long>(
-                                   Fnv1a64(payload)));
-  file.append(payload.data(), payload.size());
-  return WriteFileAtomic(path, file, injector);
+  const std::string_view parts[] = {payload};
+  return WriteSnapshotFile(path, kind, version, parts, injector);
 }
 
 common::Result<std::string> ReadSnapshotFile(const std::string& path,
                                              const std::string& kind,
                                              uint32_t version) {
   WF_ASSIGN_OR_RETURN(std::string file, ReadFileToString(path));
-  size_t newline = file.find('\n');
+  const size_t newline = file.find('\n');
   if (newline == std::string::npos) {
     return Status::Corruption("snapshot missing header: " + path);
   }
-  std::vector<std::string> parts = Split(file.substr(0, newline), " ");
-  if (parts.size() != 5 || parts[0] != kSnapshotMagic) {
+  std::string_view parts[5];
+  if (!SplitInto(std::string_view(file).substr(0, newline), ' ', parts) ||
+      parts[0] != kSnapshotMagic) {
     return Status::Corruption("bad snapshot magic in " + path);
   }
   if (parts[1] != kind) {
     return Status::Corruption("snapshot kind mismatch in " + path +
-                              ": got '" + parts[1] + "', want '" + kind +
-                              "'");
+                              ": got '" + std::string(parts[1]) +
+                              "', want '" + kind + "'");
   }
-  char* end = nullptr;
-  unsigned long parsed_version = std::strtoul(parts[2].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed_version != version) {
+  uint64_t parsed_version = 0;
+  if (!ParseUint64(parts[2], &parsed_version) || parsed_version != version) {
     return Status::Corruption("snapshot version mismatch in " + path);
   }
-  unsigned long long payload_size =
-      std::strtoull(parts[3].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  uint64_t payload_size = 0;
+  if (!ParseUint64(parts[3], &payload_size)) {
     return Status::Corruption("bad snapshot size in " + path);
   }
-  unsigned long long checksum = std::strtoull(parts[4].c_str(), &end, 16);
-  if (end == nullptr || *end != '\0' || parts[4].size() != 16) {
+  uint64_t checksum = 0;
+  if (parts[4].size() != 16 || !ParseUint64(parts[4], &checksum, 16)) {
     return Status::Corruption("bad snapshot checksum in " + path);
   }
-  std::string payload = file.substr(newline + 1);
+  const std::string_view payload = std::string_view(file).substr(newline + 1);
   if (payload.size() != payload_size) {
     return Status::Corruption(
         StrFormat("snapshot truncated: %s has %zu payload bytes, header "
                   "says %llu",
-                  path.c_str(), payload.size(), payload_size));
+                  path.c_str(), payload.size(),
+                  static_cast<unsigned long long>(payload_size)));
   }
   if (Fnv1a64(payload) != checksum) {
     return Status::Corruption("snapshot checksum mismatch in " + path);
   }
-  return payload;
+  file.erase(0, newline + 1);
+  return file;
 }
 
 }  // namespace wf::common

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -167,7 +168,8 @@ common::Status WriteFileAtomic(const std::string& path,
                                std::string_view content,
                                StorageFaultInjector* injector = nullptr);
 
-// Whole file as bytes; IOError when unreadable.
+// Whole file as bytes, read into a buffer sized from the file in one
+// read; IOError when unreadable.
 common::Result<std::string> ReadFileToString(const std::string& path);
 
 bool FileExists(const std::string& path);
@@ -193,15 +195,24 @@ inline constexpr char kSnapKindSegment[] = "segment";    // LSM store segment
 inline constexpr char kSnapKindIndexSegment[] = "indexseg";  // posting segment
 inline constexpr char kSnapKindManifest[] = "manifest";  // segment manifest
 
-// Writes `payload` under the envelope via WriteFileAtomic.
+// Writes the payload `parts` (concatenated) under the envelope, atomically
+// as WriteFileAtomic does. The parts go to disk one after another, never
+// joined in memory, so a writer can hand over a payload it built in pieces,
+// its first line last.
+common::Status WriteSnapshotFile(const std::string& path,
+                                 const std::string& kind, uint32_t version,
+                                 std::span<const std::string_view> parts,
+                                 StorageFaultInjector* injector = nullptr);
+// The one-part form.
 common::Status WriteSnapshotFile(const std::string& path,
                                  const std::string& kind, uint32_t version,
                                  std::string_view payload,
                                  StorageFaultInjector* injector = nullptr);
 
-// Reads and verifies; returns the payload. IOError when the file cannot
-// be read, Corruption when the envelope does not verify or `kind` /
-// `version` do not match.
+// Reads and verifies; returns the payload, moved out of the file's buffer
+// in place rather than copied. IOError when the file cannot be read,
+// Corruption when the envelope does not verify or `kind` / `version` do
+// not match.
 common::Result<std::string> ReadSnapshotFile(const std::string& path,
                                              const std::string& kind,
                                              uint32_t version);

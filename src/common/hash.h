@@ -6,10 +6,13 @@
 
 namespace wf::common {
 
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 // 64-bit FNV-1a. Stable across platforms/runs; used for data partitioning,
-// so its value must never change (persisted shards depend on it).
-inline uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+// so its value must never change (persisted shards depend on it). Passing
+// the hash of a prefix as `h` continues it: the hash of parts written one
+// after another equals the hash of their concatenation.
+inline uint64_t Fnv1a64(std::string_view data, uint64_t h = kFnv1a64Basis) {
   for (char c : data) {
     h ^= static_cast<uint8_t>(c);
     h *= 0x100000001b3ULL;

@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -102,6 +103,28 @@ std::vector<std::string> Split(std::string_view s, std::string_view delims) {
     }
   }
   return out;
+}
+
+bool SplitInto(std::string_view s, char delim,
+               std::span<std::string_view> out) {
+  size_t n = 0;
+  size_t start = 0;
+  for (size_t i = 0; i <= s.size(); ++i) {
+    if (i == s.size() || s[i] == delim) {
+      if (i > start) {
+        if (n == out.size()) return false;
+        out[n++] = s.substr(start, i - start);
+      }
+      start = i + 1;
+    }
+  }
+  return n == out.size();
+}
+
+bool ParseUint64(std::string_view s, uint64_t* out, int base) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  return !s.empty() && ec == std::errc() && ptr == end;
 }
 
 std::vector<std::string> SplitExact(std::string_view s, std::string_view sep) {

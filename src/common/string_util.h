@@ -1,6 +1,8 @@
 #ifndef WF_COMMON_STRING_UTIL_H_
 #define WF_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +42,13 @@ std::string_view StripWhitespace(std::string_view s);
 
 // Splits on any character in `delims`; empty pieces are dropped.
 std::vector<std::string> Split(std::string_view s, std::string_view delims);
+// Split without allocating: the pieces of `s` between `delim`s, empty
+// pieces dropped, as views into `s`. False unless there are exactly
+// out.size() pieces.
+bool SplitInto(std::string_view s, char delim, std::span<std::string_view> out);
+// Parses all of `s` as an unsigned integer in `base`; false on an empty
+// string, any other character, or overflow.
+bool ParseUint64(std::string_view s, uint64_t* out, int base = 10);
 // Splits on the exact separator string; empty pieces are kept.
 std::vector<std::string> SplitExact(std::string_view s, std::string_view sep);
 

@@ -20,22 +20,6 @@ namespace {
 
 using ::wf::common::LowerInto;
 
-// Compaction's merge: MergeIndexSegments over the run's logical contents.
-common::Status WriteMergedIndexSegment(
-    std::span<const std::unique_ptr<store::IndexSegmentReader>> inputs,
-    bool /*includes_oldest*/, const std::string& path,
-    common::StorageFaultInjector* injector) {
-  std::vector<store::IndexSegmentData> tiers;
-  tiers.reserve(inputs.size());
-  for (const std::unique_ptr<store::IndexSegmentReader>& input : inputs) {
-    WF_ASSIGN_OR_RETURN(store::IndexSegmentData data,
-                        store::LoadIndexSegmentData(*input));
-    tiers.push_back(std::move(data));
-  }
-  return store::WriteIndexSegmentFile(path, store::MergeIndexSegments(tiers),
-                                      injector, /*bytes_out=*/nullptr);
-}
-
 }  // namespace
 
 void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
@@ -89,7 +73,7 @@ common::Status InvertedIndex::Freeze() {
         "ephemeral index cannot freeze (EnableSegments first)");
   }
   WF_RETURN_IF_ERROR(FreezeLocked());
-  common::Status compacted = frozen_.Compact(WriteMergedIndexSegment);
+  common::Status compacted = frozen_.Compact(store::WriteMergedIndexRun);
   UpdateGaugesLocked();
   return compacted;
 }
@@ -523,8 +507,9 @@ std::vector<std::string> InvertedIndex::VocabularyWithPrefix(
 
 // --- Freeze / compaction ----------------------------------------------------
 
-store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
-  store::IndexSegmentData data;
+common::Status InvertedIndex::WriteDeltaRunLocked(
+    const std::string& path, common::StorageFaultInjector* injector) const {
+  store::IndexRunWriter writer;
   // Canonical doc table: sorted by id, ordinals remapped accordingly.
   std::vector<uint32_t> order(docs_.size());
   std::iota(order.begin(), order.end(), 0);
@@ -532,55 +517,52 @@ store::IndexSegmentData InvertedIndex::BuildDeltaSegmentLocked() const {
     return docs_[a] < docs_[b];
   });
   std::vector<uint32_t> remap(docs_.size(), 0);
-  data.docs.reserve(order.size());
   for (uint32_t new_ord = 0; new_ord < order.size(); ++new_ord) {
     remap[order[new_ord]] = new_ord;
-    data.docs.push_back(docs_[order[new_ord]]);
+    writer.AddDoc(docs_[order[new_ord]]);
   }
+  // Each list, ordered by remapped ordinal in one reused scratch vector;
+  // the positions are encoded straight from positions_.
+  std::vector<store::IndexRunWriter::Posting> postings;
   for (const auto& [term, list] : postings_.lists) {
-    std::vector<store::TermPostings> tps;
-    tps.reserve(list.size());
+    postings.clear();
     for (const Posting& p : list) {
-      const std::span<const uint32_t> positions = PositionsLocked(p);
-      tps.push_back(store::TermPostings{
-          remap[p.doc], {positions.begin(), positions.end()}});
+      postings.push_back({remap[p.doc], PositionsLocked(p)});
     }
-    std::sort(tps.begin(), tps.end(),
-              [](const store::TermPostings& a, const store::TermPostings& b) {
+    std::sort(postings.begin(), postings.end(),
+              [](const auto& a, const auto& b) {
                 return a.doc_ord < b.doc_ord;
               });
-    data.terms.emplace(term, std::move(tps));
+    writer.AddTerm(term, postings);
   }
-  for (const auto& [field, values] : fields_.lists) {
+  std::vector<store::FieldValueEntry> values;
+  for (const auto& [field, list] : fields_.lists) {
     // IndexEntity gives a doc one value per field, so ordinal order is
     // canonical.
-    std::vector<store::FieldValueEntry> entries;
-    entries.reserve(values.size());
-    for (const FieldValue& fv : values) {
-      entries.push_back(store::FieldValueEntry{fv.value, remap[fv.doc]});
+    values.clear();
+    for (const FieldValue& fv : list) {
+      values.push_back({fv.value, remap[fv.doc]});
     }
-    std::sort(entries.begin(), entries.end(),
+    std::sort(values.begin(), values.end(),
               [](const store::FieldValueEntry& a,
                  const store::FieldValueEntry& b) {
                 return a.doc_ord < b.doc_ord;
               });
-    data.fields.emplace(field, std::move(entries));
+    writer.AddField(field, values);
   }
-  return data;
+  return writer.WriteTo(path, injector);
 }
 
 common::Status InvertedIndex::FreezeLocked() {
   if (docs_.empty()) return common::Status::Ok();
   obs::ScopedTimer timer(freeze_us_);
-  const store::IndexSegmentData data = BuildDeltaSegmentLocked();
   // Fail before the manifest swap commits the segment and the delta tier
   // (and the WAL above us) still holds everything: nothing is lost.
   WF_RETURN_IF_ERROR(frozen_.Append(
-      [&data](const std::string& path,
-              common::StorageFaultInjector* injector) {
-        return store::WriteIndexSegmentFile(path, data, injector,
-                                            /*bytes_out=*/nullptr);
-      }));
+      [this](const std::string& path, common::StorageFaultInjector* injector)
+          WF_NO_THREAD_SAFETY_ANALYSIS {
+            return WriteDeltaRunLocked(path, injector);
+          }));
   docs_.clear();
   doc_ids_.clear();
   postings_ = {};

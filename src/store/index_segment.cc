@@ -1,9 +1,13 @@
 #include "store/index_segment.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <optional>
+#include <set>
 
 #include "common/durable_file.h"
 #include "common/string_util.h"
@@ -20,33 +24,18 @@ common::Status CorruptIndexSegment(const std::string& path,
   return common::Status::Corruption("index segment " + path + ": " + detail);
 }
 
-std::string EncodePostingBlock(const std::vector<TermPostings>& postings) {
-  std::string block;
-  PutVarint(postings.size(), &block);
-  uint32_t prev_ord = 0;
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const TermPostings& p = postings[i];
-    PutVarint(i == 0 ? p.doc_ord : p.doc_ord - prev_ord, &block);
-    prev_ord = p.doc_ord;
-    PutVarint(p.positions.size(), &block);
-    uint32_t prev_pos = 0;
-    for (size_t j = 0; j < p.positions.size(); ++j) {
-      PutVarint(j == 0 ? p.positions[j] : p.positions[j] - prev_pos, &block);
-      prev_pos = p.positions[j];
-    }
-  }
-  return block;
-}
-
-common::Result<std::vector<TermPostings>> DecodePostingBlock(
-    std::string_view block, size_t ndocs_in_segment, const std::string& path) {
-  std::vector<TermPostings> postings;
+// Decodes a posting block into `out`, or only checks it when `out` is
+// null. Corruption on a malformed block or an ordinal past the doc table.
+common::Status DecodePostingBlock(std::string_view block,
+                                  size_t ndocs_in_segment,
+                                  const std::string& path,
+                                  std::vector<TermPostings>* out) {
   size_t pos = 0;
   uint64_t ndocs = 0;
   if (!GetVarint(block, &pos, &ndocs)) {
     return CorruptIndexSegment(path, "bad posting block doc count");
   }
-  postings.reserve(ndocs);
+  if (out != nullptr) out->reserve(std::min<uint64_t>(ndocs, block.size()));
   uint64_t ord = 0;
   for (uint64_t i = 0; i < ndocs; ++i) {
     uint64_t delta = 0;
@@ -57,13 +46,16 @@ common::Result<std::vector<TermPostings>> DecodePostingBlock(
     if (ord >= ndocs_in_segment) {
       return CorruptIndexSegment(path, "bad posting doc ordinal");
     }
-    TermPostings p;
-    p.doc_ord = static_cast<uint32_t>(ord);
     uint64_t npos = 0;
     if (!GetVarint(block, &pos, &npos)) {
       return CorruptIndexSegment(path, "bad posting block position count");
     }
-    p.positions.reserve(npos);
+    TermPostings* p = nullptr;
+    if (out != nullptr) {
+      p = &out->emplace_back();
+      p->doc_ord = static_cast<uint32_t>(ord);
+      p->positions.reserve(std::min<uint64_t>(npos, block.size()));
+    }
     uint64_t position = 0;
     for (uint64_t j = 0; j < npos; ++j) {
       uint64_t pdelta = 0;
@@ -71,14 +63,73 @@ common::Result<std::vector<TermPostings>> DecodePostingBlock(
         return CorruptIndexSegment(path, "bad posting block position delta");
       }
       position = j == 0 ? pdelta : position + pdelta;
-      p.positions.push_back(static_cast<uint32_t>(position));
+      if (p != nullptr) p->positions.push_back(static_cast<uint32_t>(position));
     }
-    postings.push_back(std::move(p));
   }
   if (pos != block.size()) {
     return CorruptIndexSegment(path, "trailing bytes in posting block");
   }
-  return postings;
+  return common::Status::Ok();
+}
+
+// Appends `raw` to *out, percent-escaping space, CR, LF, tab and '%'.
+void EscapeInto(std::string_view raw, std::string* out) {
+  for (char c : raw) {
+    switch (c) {
+      case '%':
+        *out += "%25";
+        break;
+      case ' ':
+        *out += "%20";
+        break;
+      case '\n':
+        *out += "%0A";
+        break;
+      case '\r':
+        *out += "%0D";
+        break;
+      case '\t':
+        *out += "%09";
+        break;
+      default:
+        out->push_back(c);
+    }
+  }
+}
+
+bool ParseDouble(std::string_view s, double* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end;
+}
+
+// A k-way merge of sorted, duplicate-free sequences: sequence t has
+// sizes[t] keys, key_of(t, i) is its i-th. Calls visit(key, at) once per
+// distinct key, ascending, where at[t] is the key's index in sequence t,
+// or kAbsent when t lacks it.
+constexpr size_t kAbsent = SIZE_MAX;
+
+void MergeSorted(
+    const std::vector<size_t>& sizes,
+    const std::function<std::string_view(size_t, size_t)>& key_of,
+    const std::function<void(std::string_view, std::span<const size_t>)>&
+        visit) {
+  std::vector<size_t> cursor(sizes.size(), 0);
+  std::vector<size_t> at(sizes.size(), kAbsent);
+  for (;;) {
+    std::optional<std::string_view> next;
+    for (size_t t = 0; t < sizes.size(); ++t) {
+      if (cursor[t] == sizes[t]) continue;
+      const std::string_view key = key_of(t, cursor[t]);
+      if (!next.has_value() || key < *next) next = key;
+    }
+    if (!next.has_value()) return;
+    for (size_t t = 0; t < sizes.size(); ++t) {
+      const bool holds = cursor[t] < sizes[t] && key_of(t, cursor[t]) == *next;
+      at[t] = holds ? cursor[t]++ : kAbsent;
+    }
+    visit(*next, at);
+  }
 }
 
 }  // namespace
@@ -86,27 +137,7 @@ common::Result<std::vector<TermPostings>> DecodePostingBlock(
 std::string EscapeIndexToken(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '%':
-        out += "%25";
-        break;
-      case ' ':
-        out += "%20";
-        break;
-      case '\n':
-        out += "%0A";
-        break;
-      case '\r':
-        out += "%0D";
-        break;
-      case '\t':
-        out += "%09";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
+  EscapeInto(raw, &out);
   return out;
 }
 
@@ -129,59 +160,121 @@ std::string UnescapeIndexToken(std::string_view escaped) {
   return out;
 }
 
-common::Status WriteIndexSegmentFile(const std::string& path,
-                                     const IndexSegmentData& data,
-                                     common::StorageFaultInjector* injector,
-                                     uint64_t* bytes_out) {
-  size_t field_lines = 0;
-  for (const auto& [field, entries] : data.fields) {
-    field_lines += entries.size();
+void IndexRunWriter::Fail(const std::string& message) {
+  if (status_.ok()) status_ = common::Status::InvalidArgument(message);
+}
+
+void IndexRunWriter::Emit(std::string_view bytes) {
+  constexpr size_t kChunkBytes = 64 << 10;
+  if (chunks_.empty() ||
+      chunks_.back().size() + bytes.size() > chunks_.back().capacity()) {
+    chunks_.emplace_back().reserve(std::max(kChunkBytes, bytes.size()));
   }
-  std::string payload =
-      common::StrFormat("wfpost 1 %zu %zu %zu\n", data.docs.size(),
-                        data.terms.size(), field_lines);
-  for (size_t i = 0; i < data.docs.size(); ++i) {
-    const std::string& doc = data.docs[i];
-    if (i > 0 && !(data.docs[i - 1] < doc)) {
-      return common::Status::InvalidArgument(
-          "index segment docs not strictly sorted at '" + doc + "'");
+  chunks_.back().append(bytes);
+}
+
+void IndexRunWriter::AddDoc(std::string_view id) {
+  if (!status_.ok()) return;
+  if (section_ != Section::kDocs) {
+    return Fail("index run doc after its terms or fields");
+  }
+  if (ndocs_ > 0 && !(last_doc_ < id)) {
+    return Fail("index run docs not strictly sorted at '" + std::string(id) +
+                "'");
+  }
+  last_doc_.assign(id);
+  line_ = "d 1 ";
+  EscapeInto(id, &line_);
+  line_.push_back('\n');
+  Emit(line_);
+  ++ndocs_;
+}
+
+void IndexRunWriter::AddTerm(std::string_view term,
+                             std::span<const Posting> postings) {
+  if (!status_.ok()) return;
+  if (section_ == Section::kFields) {
+    return Fail("index run term after its fields");
+  }
+  if (section_ == Section::kTerms && !(last_term_ < term)) {
+    return Fail("index run terms not strictly sorted at '" +
+                std::string(term) + "'");
+  }
+  section_ = Section::kTerms;
+  last_term_.assign(term);
+  if (postings.empty()) return;
+  block_.clear();
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const Posting& p = postings[i];
+    if (p.doc_ord >= ndocs_) {
+      return Fail("index run posting of '" + std::string(term) +
+                  "' names no doc");
     }
-    payload += common::StrFormat("d 1 %s\n", EscapeIndexToken(doc).c_str());
-  }
-  for (const auto& [term, postings] : data.terms) {
-    for (const TermPostings& p : postings) {
-      if (p.doc_ord >= data.docs.size()) {
-        return common::Status::InvalidArgument(
-            "index segment posting of '" + term + "' names no doc");
-      }
+    if (i > 0 && p.doc_ord <= postings[i - 1].doc_ord) {
+      return Fail("index run postings of '" + std::string(term) +
+                  "' not in ordinal order");
     }
-    const std::string block = EncodePostingBlock(postings);
-    payload += common::StrFormat("t %s %zu\n",
-                                 EscapeIndexToken(term).c_str(), block.size());
-    payload += block;
-    payload.push_back('\n');
-  }
-  for (const auto& [field, entries] : data.fields) {
-    for (const FieldValueEntry& entry : entries) {
-      if (entry.doc_ord >= data.docs.size()) {
-        return common::Status::InvalidArgument(
-            "index segment value of field '" + field + "' names no doc");
-      }
-      payload += common::StrFormat("f %s %.17g %u\n",
-                                   EscapeIndexToken(field).c_str(),
-                                   entry.value, entry.doc_ord);
+    PutVarint(i == 0 ? p.doc_ord : p.doc_ord - postings[i - 1].doc_ord,
+              &block_);
+    PutVarint(p.positions.size(), &block_);
+    for (size_t j = 0; j < p.positions.size(); ++j) {
+      PutVarint(j == 0 ? p.positions[j] : p.positions[j] - p.positions[j - 1],
+                &block_);
     }
   }
-  WF_RETURN_IF_ERROR(common::WriteSnapshotFile(path,
-                                               common::kSnapKindIndexSegment,
-                                               kIndexSegmentVersion, payload,
-                                               injector));
-  if (bytes_out != nullptr) {
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(path, ec);
-    *bytes_out = ec ? payload.size() : size;
+  std::string count;
+  PutVarint(postings.size(), &count);
+  line_ = "t ";
+  EscapeInto(term, &line_);
+  line_ += ' ';
+  line_ += std::to_string(count.size() + block_.size());
+  line_.push_back('\n');
+  Emit(line_);
+  Emit(count);
+  Emit(block_);
+  Emit("\n");
+  ++nterms_;
+}
+
+void IndexRunWriter::AddField(std::string_view field,
+                              std::span<const FieldValueEntry> values) {
+  if (!status_.ok()) return;
+  if (section_ == Section::kFields && !(last_field_ < field)) {
+    return Fail("index run fields not strictly sorted at '" +
+                std::string(field) + "'");
   }
-  return common::Status::Ok();
+  section_ = Section::kFields;
+  last_field_.assign(field);
+  std::string escaped;
+  EscapeInto(field, &escaped);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const FieldValueEntry& entry = values[i];
+    if (entry.doc_ord >= ndocs_) {
+      return Fail("index run value of field '" + std::string(field) +
+                  "' names no doc");
+    }
+    if (i > 0 && entry.doc_ord < values[i - 1].doc_ord) {
+      return Fail("index run values of field '" + std::string(field) +
+                  "' not in ordinal order");
+    }
+    line_ = "f " + escaped;
+    line_ += common::StrFormat(" %.17g %u\n", entry.value, entry.doc_ord);
+    Emit(line_);
+    ++nfield_lines_;
+  }
+}
+
+common::Status IndexRunWriter::WriteTo(
+    const std::string& path, common::StorageFaultInjector* injector) {
+  WF_RETURN_IF_ERROR(status_);
+  const std::string head = common::StrFormat(
+      "wfpost 1 %zu %zu %zu\n", ndocs_, nterms_, nfield_lines_);
+  std::vector<std::string_view> parts;
+  parts.reserve(chunks_.size() + 1);
+  parts.push_back(head);
+  parts.insert(parts.end(), chunks_.begin(), chunks_.end());
+  return common::WriteSnapshotFile(path, common::kSnapKindIndexSegment,
+                                   kIndexSegmentVersion, parts, injector);
 }
 
 common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
@@ -201,38 +294,40 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
   reader->path_ = path;
   reader->file_bytes_ = file_bytes;
 
-  size_t pos = payload.find('\n');
-  if (pos == std::string::npos) {
+  const std::string_view body = payload;
+  size_t pos = body.find('\n');
+  if (pos == std::string_view::npos) {
     return CorruptIndexSegment(path, "missing header line");
   }
-  std::vector<std::string> head = common::Split(payload.substr(0, pos), " ");
-  if (head.size() != 5 || head[0] != "wfpost" || head[1] != "1") {
+  std::string_view head[5];
+  if (!common::SplitInto(body.substr(0, pos), ' ', head) ||
+      head[0] != "wfpost" || head[1] != "1") {
     return CorruptIndexSegment(path, "bad header");
   }
-  char* end = nullptr;
-  unsigned long long ndocs = std::strtoull(head[2].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  uint64_t ndocs = 0;
+  if (!common::ParseUint64(head[2], &ndocs)) {
     return CorruptIndexSegment(path, "bad doc count");
   }
-  unsigned long long nterms = std::strtoull(head[3].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  uint64_t nterms = 0;
+  if (!common::ParseUint64(head[3], &nterms)) {
     return CorruptIndexSegment(path, "bad term count");
   }
-  unsigned long long nfields = std::strtoull(head[4].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  uint64_t nfields = 0;
+  if (!common::ParseUint64(head[4], &nfields)) {
     return CorruptIndexSegment(path, "bad field count");
   }
   ++pos;
 
-  reader->docs_.reserve(ndocs);
-  for (unsigned long long i = 0; i < ndocs; ++i) {
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) {
+  // A count never exceeds the lines that could hold it.
+  reader->docs_.reserve(std::min<uint64_t>(ndocs, body.size()));
+  for (uint64_t i = 0; i < ndocs; ++i) {
+    const size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) {
       return CorruptIndexSegment(path, "truncated doc line");
     }
-    std::vector<std::string> parts =
-        common::Split(payload.substr(pos, eol - pos), " ");
-    if (parts.size() != 3 || parts[0] != "d" || parts[1] != "1") {
+    std::string_view parts[3];
+    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+        parts[0] != "d" || parts[1] != "1") {
       return CorruptIndexSegment(path, "bad doc line");
     }
     std::string doc = UnescapeIndexToken(parts[2]);
@@ -243,66 +338,71 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
     pos = eol + 1;
   }
 
-  reader->terms_.reserve(nterms);
-  std::string prev_term;
-  for (unsigned long long i = 0; i < nterms; ++i) {
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) {
+  reader->terms_.reserve(std::min<uint64_t>(nterms, body.size()));
+  for (uint64_t i = 0; i < nterms; ++i) {
+    const size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) {
       return CorruptIndexSegment(path, "truncated term line");
     }
-    std::vector<std::string> parts =
-        common::Split(payload.substr(pos, eol - pos), " ");
-    if (parts.size() != 3 || parts[0] != "t") {
+    std::string_view parts[3];
+    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+        parts[0] != "t") {
       return CorruptIndexSegment(path, "bad term line");
     }
     TermEntry entry;
     entry.term = UnescapeIndexToken(parts[1]);
-    unsigned long long block_len = std::strtoull(parts[2].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    uint64_t block_len = 0;
+    if (!common::ParseUint64(parts[2], &block_len)) {
       return CorruptIndexSegment(path, "bad term block length");
     }
     pos = eol + 1;
-    if (pos + block_len + 1 > payload.size()) {
+    if (block_len >= body.size() - pos) {
       return CorruptIndexSegment(path, "truncated term block");
+    }
+    if (block_len > UINT32_MAX) {
+      return CorruptIndexSegment(path, "term block too long");
     }
     entry.block_offset = payload_base + pos;
     entry.block_len = static_cast<uint32_t>(block_len);
-    if (i > 0 && !(prev_term < entry.term)) {
+    if (i > 0 && !(reader->terms_.back().term < entry.term)) {
       return CorruptIndexSegment(path, "terms out of order");
     }
-    prev_term = entry.term;
+    // Every block is decoded once here, so no later read of a posting
+    // meets a malformed block or an ordinal past the doc table.
+    WF_RETURN_IF_ERROR(DecodePostingBlock(body.substr(pos, block_len),
+                                          reader->docs_.size(), path,
+                                          /*out=*/nullptr));
     pos += block_len;
-    if (payload[pos] != '\n') {
+    if (body[pos] != '\n') {
       return CorruptIndexSegment(path, "missing term block terminator");
     }
     ++pos;
     reader->terms_.push_back(std::move(entry));
   }
 
-  for (unsigned long long i = 0; i < nfields; ++i) {
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) {
+  for (uint64_t i = 0; i < nfields; ++i) {
+    const size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) {
       return CorruptIndexSegment(path, "truncated field line");
     }
-    std::vector<std::string> parts =
-        common::Split(payload.substr(pos, eol - pos), " ");
-    if (parts.size() != 4 || parts[0] != "f") {
+    std::string_view parts[4];
+    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+        parts[0] != "f") {
       return CorruptIndexSegment(path, "bad field line");
     }
     FieldValueEntry entry;
-    entry.value = std::strtod(parts[2].c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    if (!ParseDouble(parts[2], &entry.value)) {
       return CorruptIndexSegment(path, "bad field value");
     }
-    unsigned long long ord = std::strtoull(parts[3].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || ord >= reader->docs_.size()) {
+    uint64_t ord = 0;
+    if (!common::ParseUint64(parts[3], &ord) || ord >= reader->docs_.size()) {
       return CorruptIndexSegment(path, "bad field doc ordinal");
     }
     entry.doc_ord = static_cast<uint32_t>(ord);
     reader->fields_[UnescapeIndexToken(parts[1])].push_back(entry);
     pos = eol + 1;
   }
-  if (pos != payload.size()) {
+  if (pos != body.size()) {
     return CorruptIndexSegment(path, "trailing bytes after last field");
   }
   return reader;
@@ -338,75 +438,101 @@ common::Result<std::vector<TermPostings>> IndexSegmentReader::Postings(
   if (!in_) {
     return common::Status::IOError("short read from index segment: " + path_);
   }
-  return DecodePostingBlock(block, docs_.size(), path_);
+  std::vector<TermPostings> postings;
+  WF_RETURN_IF_ERROR(DecodePostingBlock(block, docs_.size(), path_, &postings));
+  return postings;
 }
 
-common::Result<IndexSegmentData> LoadIndexSegmentData(
-    const IndexSegmentReader& reader) {
-  IndexSegmentData data;
-  data.docs = reader.docs();
-  for (const IndexSegmentReader::TermEntry& entry : reader.terms()) {
-    WF_ASSIGN_OR_RETURN(std::vector<TermPostings> postings,
-                        reader.Postings(entry));
-    data.terms[entry.term] = std::move(postings);
-  }
-  data.fields = reader.fields();
-  return data;
-}
-
-IndexSegmentData MergeIndexSegments(
-    const std::vector<IndexSegmentData>& tiers) {
-  // The newest tier holding a doc owns it: doc -> (tier, ordinal there).
-  std::map<std::string, std::pair<size_t, uint32_t>> owner;
-  for (size_t t = 0; t < tiers.size(); ++t) {
-    for (uint32_t ord = 0; ord < tiers[t].docs.size(); ++ord) {
-      owner[tiers[t].docs[ord]] = {t, ord};
-    }
-  }
-  // remap[t][ord]: the merged ordinal of tier t's doc, or kShadowed.
+common::Status WriteMergedIndexRun(
+    std::span<const std::unique_ptr<IndexSegmentReader>> inputs,
+    bool /*includes_oldest*/, const std::string& path,
+    common::StorageFaultInjector* injector) {
+  IndexRunWriter writer;
+  // remap[t][ord]: the merged ordinal of input t's doc, or kShadowed when a
+  // newer input holds the doc too.
   constexpr uint32_t kShadowed = UINT32_MAX;
-  std::vector<std::vector<uint32_t>> remap(tiers.size());
-  for (size_t t = 0; t < tiers.size(); ++t) {
-    remap[t].assign(tiers[t].docs.size(), kShadowed);
+  std::vector<std::vector<uint32_t>> remap(inputs.size());
+  std::vector<size_t> ndocs(inputs.size());
+  std::vector<size_t> nterms(inputs.size());
+  for (size_t t = 0; t < inputs.size(); ++t) {
+    ndocs[t] = inputs[t]->docs().size();
+    nterms[t] = inputs[t]->terms().size();
+    remap[t].assign(ndocs[t], kShadowed);
   }
-  IndexSegmentData merged;
-  merged.docs.reserve(owner.size());
-  for (const auto& [doc, at] : owner) {
-    remap[at.first][at.second] = static_cast<uint32_t>(merged.docs.size());
-    merged.docs.push_back(doc);
-  }
+  uint32_t merged = 0;
+  MergeSorted(
+      ndocs,
+      [&inputs](size_t t, size_t i) -> std::string_view {
+        return inputs[t]->docs()[i];
+      },
+      [&](std::string_view doc, std::span<const size_t> at) {
+        size_t owner = 0;
+        for (size_t t = 0; t < at.size(); ++t) {
+          if (at[t] != kAbsent) owner = t;  // the newest holder
+        }
+        remap[owner][at[owner]] = merged++;
+        writer.AddDoc(doc);
+      });
 
-  // Copy the owners' entries, then restore ordinal order in each list.
-  for (size_t t = 0; t < tiers.size(); ++t) {
-    for (const auto& [term, postings] : tiers[t].terms) {
-      for (const TermPostings& p : postings) {
-        const uint32_t ord = remap[t][p.doc_ord];
-        if (ord != kShadowed) {
-          merged.terms[term].push_back(TermPostings{ord, p.positions});
+  // One term at a time: decode each input's block, keep the owners'
+  // postings, and restore ordinal order (each input's survivors are
+  // already ascending; ordinals are unique across inputs).
+  common::Status status;
+  std::vector<IndexRunWriter::Posting> postings;
+  MergeSorted(
+      nterms,
+      [&inputs](size_t t, size_t i) -> std::string_view {
+        return inputs[t]->terms()[i].term;
+      },
+      [&](std::string_view term, std::span<const size_t> at) {
+        if (!status.ok()) return;
+        std::vector<std::vector<TermPostings>> decoded(inputs.size());
+        postings.clear();
+        for (size_t t = 0; t < at.size(); ++t) {
+          if (at[t] == kAbsent) continue;
+          auto postings_or = inputs[t]->Postings(inputs[t]->terms()[at[t]]);
+          if (!postings_or.ok()) {
+            status = postings_or.status();
+            return;
+          }
+          decoded[t] = std::move(postings_or).value();
+          for (const TermPostings& p : decoded[t]) {
+            const uint32_t ord = remap[t][p.doc_ord];
+            if (ord != kShadowed) postings.push_back({ord, p.positions});
+          }
         }
-      }
-    }
-    for (const auto& [field, entries] : tiers[t].fields) {
-      for (const FieldValueEntry& entry : entries) {
+        std::sort(postings.begin(), postings.end(),
+                  [](const auto& a, const auto& b) {
+                    return a.doc_ord < b.doc_ord;
+                  });
+        writer.AddTerm(term, postings);
+      });
+  WF_RETURN_IF_ERROR(status);
+
+  std::set<std::string> fields;
+  for (const std::unique_ptr<IndexSegmentReader>& input : inputs) {
+    for (const auto& [field, values] : input->fields()) fields.insert(field);
+  }
+  std::vector<FieldValueEntry> values;
+  for (const std::string& field : fields) {
+    values.clear();
+    for (size_t t = 0; t < inputs.size(); ++t) {
+      auto it = inputs[t]->fields().find(field);
+      if (it == inputs[t]->fields().end()) continue;
+      for (const FieldValueEntry& entry : it->second) {
         const uint32_t ord = remap[t][entry.doc_ord];
-        if (ord != kShadowed) {
-          merged.fields[field].push_back(FieldValueEntry{entry.value, ord});
-        }
+        if (ord != kShadowed) values.push_back({entry.value, ord});
       }
     }
+    // A doc's values all come from its owner, in file order; the stable
+    // sort keeps that order among them.
+    std::stable_sort(values.begin(), values.end(),
+                     [](const FieldValueEntry& a, const FieldValueEntry& b) {
+                       return a.doc_ord < b.doc_ord;
+                     });
+    writer.AddField(field, values);
   }
-  // A doc's entries all come from its owner, in canonical order; the
-  // stable sort keeps that order among them.
-  const auto by_ord = [](const auto& a, const auto& b) {
-    return a.doc_ord < b.doc_ord;
-  };
-  for (auto& [term, postings] : merged.terms) {
-    std::stable_sort(postings.begin(), postings.end(), by_ord);
-  }
-  for (auto& [field, entries] : merged.fields) {
-    std::stable_sort(entries.begin(), entries.end(), by_ord);
-  }
-  return merged;
+  return writer.WriteTo(path, injector);
 }
 
 }  // namespace wf::store

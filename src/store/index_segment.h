@@ -5,6 +5,7 @@
 #include <fstream>  // std::ifstream reads only; writes go through DurableFile
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,17 +52,53 @@ struct FieldValueEntry {
   uint32_t doc_ord = 0;
 };
 
-// The logical content of one frozen tier, in canonical order.
-struct IndexSegmentData {
-  std::vector<std::string> docs;  // ids, sorted and unique
-  std::map<std::string, std::vector<TermPostings>> terms;  // ords ascending
-  std::map<std::string, std::vector<FieldValueEntry>> fields;
-};
+// The one way an index run reaches disk, for a freeze and a compaction
+// alike. The caller streams the run in file order — every doc, then term
+// by term, then field by field — and the writer encodes each piece as it
+// arrives, so it holds the encoded run plus one term's block, never the
+// run's postings. The count line that heads the payload is written last.
+//
+// Misuse (docs or terms or fields out of order, a posting or value naming
+// an ordinal past the doc table, a doc after a term) is remembered, and
+// WriteTo returns it as InvalidArgument without touching the disk.
+class IndexRunWriter {
+ public:
+  struct Posting {
+    uint32_t doc_ord = 0;
+    std::span<const uint32_t> positions;  // ascending; empty = concept token
+  };
 
-common::Status WriteIndexSegmentFile(const std::string& path,
-                                     const IndexSegmentData& data,
-                                     common::StorageFaultInjector* injector,
-                                     uint64_t* bytes_out);
+  // The next doc of the table; ids strictly ascending.
+  void AddDoc(std::string_view id);
+  // The next term; terms strictly ascending, postings by strictly
+  // ascending ordinal. A term with no posting is not written.
+  void AddTerm(std::string_view term, std::span<const Posting> postings);
+  // The next field; fields strictly ascending, values by ordinal.
+  void AddField(std::string_view field,
+                std::span<const FieldValueEntry> values);
+  // Writes the run file at `path` under the checksummed envelope.
+  common::Status WriteTo(const std::string& path,
+                         common::StorageFaultInjector* injector);
+
+ private:
+  void Fail(const std::string& message);
+  // Appends to the encoded payload, which grows in fixed-size chunks.
+  void Emit(std::string_view bytes);
+
+  enum class Section { kDocs, kTerms, kFields };
+
+  common::Status status_;
+  Section section_ = Section::kDocs;
+  size_t ndocs_ = 0;
+  size_t nterms_ = 0;
+  size_t nfield_lines_ = 0;
+  std::string last_doc_;
+  std::string last_term_;
+  std::string last_field_;
+  std::string line_;   // one line being formatted
+  std::string block_;  // one term's block, less its leading doc count
+  std::vector<std::string> chunks_;
+};
 
 // Read handle: Open() verifies the envelope once and keeps the doc table,
 // term dictionary (term + block offset) and field entries in memory;
@@ -75,6 +112,9 @@ class IndexSegmentReader {
     uint32_t block_len = 0;
   };
 
+  // Reads and parses the file, and decodes every posting block once to
+  // check it: Corruption when the envelope does not verify, a line does
+  // not parse, or a posting names a doc past the table.
   static common::Result<std::unique_ptr<IndexSegmentReader>> Open(
       const std::string& path);
 
@@ -112,14 +152,17 @@ class IndexSegmentReader {
   mutable std::ifstream in_;
 };
 
-// Reads a whole segment back into its logical form (compaction input).
-common::Result<IndexSegmentData> LoadIndexSegmentData(
-    const IndexSegmentReader& reader);
-
-// Merges tiers oldest → newest into one canonical tier. Each doc keeps
-// only the version of the newest tier holding it; its ordinals are
-// remapped into the merged sorted doc table.
-IndexSegmentData MergeIndexSegments(const std::vector<IndexSegmentData>& tiers);
+// Compaction's merge, a SegmentStack MergeFn: writes the runs `inputs`
+// (age-contiguous, oldest first) as one run at `path`. The doc tables and
+// the term dictionaries merge k-way; a doc keeps only the version of the
+// newest input holding it, with its ordinals remapped into the merged doc
+// table, and a term left with no posting is dropped. Postings are decoded
+// and re-encoded one term at a time. `includes_oldest` does not matter:
+// an index run has no tombstones.
+common::Status WriteMergedIndexRun(
+    std::span<const std::unique_ptr<IndexSegmentReader>> inputs,
+    bool includes_oldest, const std::string& path,
+    common::StorageFaultInjector* injector);
 
 // Percent-escaping shared by the index segment format (space, newline,
 // '%' — keeps every token single-line and single-word).

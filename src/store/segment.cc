@@ -1,7 +1,6 @@
 #include "store/segment.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 
 #include "common/durable_file.h"
@@ -74,57 +73,58 @@ common::Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
   reader->path_ = path;
   reader->file_bytes_ = file_bytes;
 
-  size_t pos = payload.find('\n');
-  if (pos == std::string::npos) {
+  const std::string_view body = payload;
+  size_t pos = body.find('\n');
+  if (pos == std::string_view::npos) {
     return CorruptSegment(path, "missing header line");
   }
-  std::vector<std::string> head = common::Split(payload.substr(0, pos), " ");
-  if (head.size() != 3 || head[0] != "wfseg" || head[1] != "1") {
+  std::string_view head[3];
+  uint64_t count = 0;
+  if (!common::SplitInto(body.substr(0, pos), ' ', head) ||
+      head[0] != "wfseg" || head[1] != "1") {
     return CorruptSegment(path, "bad header");
   }
-  char* end = nullptr;
-  unsigned long long count = std::strtoull(head[2].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (!common::ParseUint64(head[2], &count)) {
     return CorruptSegment(path, "bad record count");
   }
   ++pos;  // past the header newline
 
   reader->entries_.reserve(count);
-  std::string prev_key;
-  for (unsigned long long i = 0; i < count; ++i) {
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) {
       return CorruptSegment(path, "truncated record header");
     }
-    std::vector<std::string> parts =
-        common::Split(payload.substr(pos, eol - pos), " ");
-    if (parts.size() != 4 || parts[0] != "r") {
+    std::string_view parts[4];
+    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+        parts[0] != "r") {
       return CorruptSegment(path, "bad record header");
     }
-    unsigned long long keylen = std::strtoull(parts[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    uint64_t keylen = 0;
+    if (!common::ParseUint64(parts[1], &keylen)) {
       return CorruptSegment(path, "bad key length");
     }
-    unsigned long long vallen = std::strtoull(parts[2].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    uint64_t vallen = 0;
+    if (!common::ParseUint64(parts[2], &vallen)) {
       return CorruptSegment(path, "bad value length");
     }
-    bool tombstone = parts[3] == "1";
+    const bool tombstone = parts[3] == "1";
     pos = eol + 1;
-    if (pos + keylen + vallen + 1 > payload.size()) {
+    if (keylen > body.size() || vallen > body.size() ||
+        pos + keylen + vallen + 1 > body.size()) {
       return CorruptSegment(path, "truncated record body");
     }
+    if (vallen > UINT32_MAX) return CorruptSegment(path, "value too long");
     Entry entry;
-    entry.key = payload.substr(pos, keylen);
+    entry.key = body.substr(pos, keylen);
     entry.value_offset = payload_base + pos + keylen;
     entry.value_len = static_cast<uint32_t>(vallen);
     entry.tombstone = tombstone;
-    if (i > 0 && !(prev_key < entry.key)) {
+    if (i > 0 && !(reader->entries_.back().key < entry.key)) {
       return CorruptSegment(path, "records out of order");
     }
-    prev_key = entry.key;
     pos += keylen + vallen;
-    if (payload[pos] != '\n') {
+    if (body[pos] != '\n') {
       return CorruptSegment(path, "missing record terminator");
     }
     ++pos;

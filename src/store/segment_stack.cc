@@ -76,6 +76,7 @@ void SegmentStack<Reader>::AttachMetrics(const obs::MetricsRegistry* metrics,
   compactions_total_ = nullptr;
   bytes_rewritten_total_ = nullptr;
   compaction_us_ = nullptr;
+  bytes_written_total_ = nullptr;
   if (metrics == nullptr) return;
   compactions_total_ = metrics->GetCounter(prefix + "/compactions_total");
   bytes_rewritten_total_ =
@@ -83,6 +84,7 @@ void SegmentStack<Reader>::AttachMetrics(const obs::MetricsRegistry* metrics,
   compaction_us_ = metrics->GetHistogram(prefix + "/compaction_us",
                                          obs::DefaultLatencyBoundsUs(),
                                          /*timing=*/true);
+  bytes_written_total_ = metrics->GetCounter(prefix + "/bytes_written_total");
 }
 
 template <typename Reader>
@@ -163,6 +165,9 @@ common::Status SegmentStack<Reader>::Replace(size_t begin, size_t end,
   next.segments.insert(next.segments.end(), first + static_cast<long>(end),
                        manifest_.segments.end());
   WF_RETURN_IF_ERROR(SaveManifest(ManifestPath(), next, injector_));
+  if (bytes_written_total_ != nullptr) {
+    bytes_written_total_->Add(run->file_bytes());
+  }
   std::vector<std::string> stale;
   for (size_t i = begin; i < end; ++i) stale.push_back(runs_[i]->path());
   runs_.erase(runs_.begin() + static_cast<long>(begin),

@@ -50,8 +50,11 @@ class SegmentStack {
       const std::string& path, common::StorageFaultInjector* injector)>;
 
   // Registers `<prefix>/compactions_total`,
-  // `<prefix>/compaction_bytes_rewritten_total` and
-  // `<prefix>/compaction_us`; null detaches.
+  // `<prefix>/compaction_bytes_rewritten_total`, `<prefix>/compaction_us`
+  // and `<prefix>/bytes_written_total` (the file bytes of every run the
+  // stack commits: flushes, freezes and compaction outputs alike); null
+  // detaches. Every run is written once and is either live or the input of
+  // one compaction, so bytes written = live run bytes + bytes rewritten.
   void AttachMetrics(const obs::MetricsRegistry* metrics,
                      const std::string& prefix);
 
@@ -98,6 +101,7 @@ class SegmentStack {
   uint64_t compactions_ = 0;
   obs::Counter* compactions_total_ = nullptr;
   obs::Counter* bytes_rewritten_total_ = nullptr;
+  obs::Counter* bytes_written_total_ = nullptr;
   obs::Histogram* compaction_us_ = nullptr;
 };
 

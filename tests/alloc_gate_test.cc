@@ -1,85 +1,33 @@
-// Allocation-count regression gate (ISSUE 10, CI/tooling satellite): a
-// counting global operator new measures how many heap allocations one
-// analyzed document costs, and the test fails if the per-document budget
-// regresses above the recorded ceiling. The arena/interner refactor bought
-// these numbers; this gate keeps them.
+// Allocation regression gates over the counting global allocator
+// (bench/alloc_hook.h): how many heap allocations one analyzed document
+// costs, with the per-document budget held under a recorded ceiling (the
+// arena/interner refactor bought these numbers; this gate keeps them); and
+// how much heap a checkpoint's index freeze and an index compaction take
+// for a while, held to a multiple of the run they write.
 //
 // Not meaningful under sanitizers (interceptors replace operator new), so
 // tests/CMakeLists.txt registers this binary only in plain builds.
-//
-// wflint: allow(raw-delete) — the flagged lines are the replaceable global
-// `operator delete` DEFINITIONS the counting allocator must provide, not
-// raw delete-expressions.
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.h"
 #include "core/analysis.h"
 #include "corpus/datasets.h"
+#include "corpus/domain.h"
+#include "corpus/web_gen.h"
 #include "gtest/gtest.h"
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
+#include "obs/metrics.h"
 #include "platform/data_store.h"
 #include "platform/entity.h"
+#include "platform/indexer.h"
 #include "platform/miner_framework.h"
 #include "platform/sentiment_miner_plugin.h"
-
-// This TU replaces operator new with a malloc-backed counting allocator;
-// GCC's inliner then sees malloc'd pointers reach the (replaced,
-// free-backed) delete and flags a mismatch that is not one.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-
-std::atomic<uint64_t> g_new_calls{0};
-
-}  // namespace
-
-// Counting allocator: every path through the replaceable global news lands
-// here. Counting is relaxed — the gate runs single-threaded.
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   ((size + static_cast<std::size_t>(align) -
-                                     1) /
-                                    static_cast<std::size_t>(align)) *
-                                       static_cast<std::size_t>(align))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace wf {
 namespace {
@@ -97,9 +45,9 @@ constexpr uint64_t kAnalyzeAllocsPerDocCeiling = 160;
 constexpr uint64_t kMineAllocsPerDocCeiling = 280;
 
 uint64_t CountAllocs(const std::function<void()>& fn) {
-  const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  const uint64_t before = bench::Heap().allocations;
   fn();
-  return g_new_calls.load(std::memory_order_relaxed) - before;
+  return bench::Heap().allocations - before;
 }
 
 // The whole front half of one document: the artifact with every sentence
@@ -160,6 +108,135 @@ TEST(AllocGateTest, FullMiningSweepStaysUnderBudget) {
   EXPECT_LE(per_doc, kMineAllocsPerDocCeiling)
       << "per-document mining allocation budget regressed; if the growth "
          "is intentional, re-measure and update the recorded ceiling";
+}
+
+// --- Checkpoint memory --------------------------------------------------------
+//
+// A freeze writes the delta tier and a compaction merges its inputs term by
+// term through one streaming run writer, so either holds about one run's
+// encoded bytes at a time, never the run's postings as vectors. The gate
+// holds the heap a call adds at its peak to this multiple of the run it
+// writes.
+constexpr double kRunBytesMultiple = 3.0;
+
+// Heap bytes `fn` adds at its peak over what was live when it started.
+uint64_t PeakGrowth(const std::function<void()>& fn) {
+  const uint64_t before = bench::Heap().live_bytes;
+  bench::ResetHeapPeak();
+  fn();
+  return bench::Heap().peak_bytes - before;
+}
+
+// The first `n` web pages of one seeded crawl, mined as IndexWorkTest mines
+// them: body, sentiment concept tokens and token-stat fields.
+std::vector<platform::Entity> MinedWebPages(size_t n) {
+  const auto lexicon = lexicon::SentimentLexicon::Embedded();
+  const auto patterns = lexicon::PatternDatabase::Embedded();
+  platform::AdHocSentimentMinerPlugin sentiment(&lexicon, &patterns);
+  platform::TokenStatsMiner token_stats;
+  std::vector<platform::Entity> mined;
+  for (const corpus::GeneratedDoc& d : corpus::GenerateWebDocs(
+           corpus::PetroleumDomain(), n, 77, corpus::WebGenOptions{})) {
+    platform::Entity e(d.id, "crawl");
+    e.SetBody(d.body);
+    std::unique_ptr<core::LinguisticAnalysis> analysis =
+        core::AnalyzeDocument(d.body);
+    EXPECT_TRUE(sentiment.Process(e, {*analysis}).ok());
+    EXPECT_TRUE(token_stats.Process(e, {*analysis}).ok());
+    mined.push_back(std::move(e));
+  }
+  return mined;
+}
+
+// A fresh directory for index runs, removed when the scope ends.
+class RunDir {
+ public:
+  explicit RunDir(const std::string& name)
+      : path_(::testing::TempDir() + "wf_alloc_gate_" + name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~RunDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// File bytes of the runs in `dir`.
+uint64_t RunBytes(const std::string& dir) {
+  uint64_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".wfseg") bytes += entry.file_size();
+  }
+  return bytes;
+}
+
+TEST(AllocGateTest, IndexFreezePeakStaysWithinThreeRunBytes) {
+  const std::vector<platform::Entity> mined = MinedWebPages(8000);
+  for (size_t n : {1000, 8000}) {
+    RunDir dir("freeze");
+    platform::InvertedIndex index;
+    ASSERT_TRUE(index.EnableSegments(dir.path(), "idx").ok());
+    for (size_t i = 0; i < n; ++i) index.IndexEntity(mined[i]);
+    const uint64_t growth =
+        PeakGrowth([&index] { ASSERT_TRUE(index.Freeze().ok()); });
+    const uint64_t run_bytes = RunBytes(dir.path());
+    ASSERT_EQ(index.frozen_segment_count(), 1u);
+    ASSERT_GT(run_bytes, 0u);
+    std::printf("freeze of %zu pages: peak heap +%llu bytes for a %llu-byte "
+                "run (%.2fx, bound %.1fx)\n",
+                n, static_cast<unsigned long long>(growth),
+                static_cast<unsigned long long>(run_bytes),
+                static_cast<double>(growth) / static_cast<double>(run_bytes),
+                kRunBytesMultiple);
+    EXPECT_LE(static_cast<double>(growth),
+              kRunBytesMultiple * static_cast<double>(run_bytes))
+        << n << " pages";
+  }
+}
+
+TEST(AllocGateTest, IndexCompactionPeakStaysWithinThreeRunBytes) {
+  const std::vector<platform::Entity> mined = MinedWebPages(7400);
+  RunDir dir("compaction");
+  {
+    // Four runs of 2,000 pages, each re-indexing the previous run's last
+    // 200, frozen with compaction off: one size tier, ready to merge.
+    platform::InvertedIndex index;
+    ASSERT_TRUE(index
+                    .EnableSegments(dir.path(), "idx", nullptr,
+                                    /*compaction_fanout=*/0)
+                    .ok());
+    for (size_t run = 0; run < 4; ++run) {
+      for (size_t i = run * 1800; i < run * 1800 + 2000; ++i) {
+        index.IndexEntity(mined[i]);
+      }
+      ASSERT_TRUE(index.Freeze().ok());
+    }
+    ASSERT_EQ(index.frozen_segment_count(), 4u);
+  }
+  obs::MetricsRegistry metrics;
+  platform::InvertedIndex index;
+  index.AttachMetrics(&metrics);
+  ASSERT_TRUE(index
+                  .EnableSegments(dir.path(), "idx", nullptr,
+                                  /*compaction_fanout=*/4)
+                  .ok());
+  // An empty delta: the call only compacts.
+  const uint64_t growth =
+      PeakGrowth([&index] { ASSERT_TRUE(index.Freeze().ok()); });
+  const uint64_t run_bytes = RunBytes(dir.path());
+  ASSERT_EQ(index.frozen_segment_count(), 1u);
+  ASSERT_EQ(metrics.Snapshot().CounterValue("index/compactions_total"), 1u);
+  ASSERT_EQ(index.document_count(), 7400u);
+  std::printf("compaction of 4 runs: peak heap +%llu bytes for a %llu-byte "
+              "run (%.2fx, bound %.1fx)\n",
+              static_cast<unsigned long long>(growth),
+              static_cast<unsigned long long>(run_bytes),
+              static_cast<double>(growth) / static_cast<double>(run_bytes),
+              kRunBytesMultiple);
+  EXPECT_LE(static_cast<double>(growth),
+            kRunBytesMultiple * static_cast<double>(run_bytes));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/arena.h"
@@ -144,6 +145,29 @@ TEST(StringUtilTest, SplitDropsEmptyPieces) {
   EXPECT_TRUE(Split(",,,", ",").empty());
 }
 
+TEST(StringUtilTest, SplitIntoMatchesSplitWithoutAllocating) {
+  std::string_view parts[3];
+  ASSERT_TRUE(SplitInto("t  word 12", ' ', parts));
+  EXPECT_EQ(parts[0], "t");
+  EXPECT_EQ(parts[1], "word");
+  EXPECT_EQ(parts[2], "12");
+  EXPECT_FALSE(SplitInto("t word", ' ', parts));
+  EXPECT_FALSE(SplitInto("t word 12 extra", ' ', parts));
+  EXPECT_FALSE(SplitInto("", ' ', parts));
+}
+
+TEST(StringUtilTest, ParseUint64TakesTheWholeString) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseUint64("00ff", &v, 16));
+  EXPECT_EQ(v, 255u);
+  for (const char* bad : {"", "+1", "-1", " 1", "1x", "0x1f",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint64(bad, &v)) << bad;
+  }
+}
+
 TEST(StringUtilTest, SplitExactKeepsEmptyPieces) {
   EXPECT_EQ(SplitExact("a||b", "|"),
             (std::vector<std::string>{"a", "", "b"}));
@@ -257,6 +281,11 @@ TEST(HashTest, Fnv1a64KnownValues) {
   // FNV-1a published test vectors.
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(HashTest, Fnv1a64ContinuesAcrossParts) {
+  EXPECT_EQ(Fnv1a64("ab", Fnv1a64("wfsnap ")), Fnv1a64("wfsnap ab"));
+  EXPECT_EQ(Fnv1a64("", Fnv1a64("x")), Fnv1a64("x"));
 }
 
 TEST(HashTest, Fnv1a64Distinguishes) {

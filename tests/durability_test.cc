@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -219,6 +220,22 @@ TEST(SnapshotEnvelopeTest, RoundTripAndKindVersionChecks) {
                 .status()
                 .code(),
             common::StatusCode::kIOError);
+}
+
+// A payload handed over in parts lands as the same file as the joined
+// payload: one header over the whole, the parts in order.
+TEST(SnapshotEnvelopeTest, PartsWriteTheSameFileAsOnePayload) {
+  ScopedTempDir dir("parts");
+  const std::string whole = dir.File("whole");
+  const std::string split = dir.File("split");
+  ASSERT_TRUE(
+      common::WriteSnapshotFile(whole, "indexseg", 1, "head\nbody-a|b").ok());
+  const std::vector<std::string_view> parts = {"head\n", "", "body-a", "|b"};
+  ASSERT_TRUE(common::WriteSnapshotFile(split, "indexseg", 1, parts).ok());
+  EXPECT_EQ(ReadAll(split), ReadAll(whole));
+  auto read = common::ReadSnapshotFile(split, "indexseg", 1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), "head\nbody-a|b");
 }
 
 TEST(SnapshotEnvelopeTest, FlippingAnySingleByteIsRejected) {

@@ -728,21 +728,44 @@ TEST(IndexSegmentTest, PartialDocLineIsCorruption) {
 // the doc table, as it refuses unsorted docs; nothing reaches the disk.
 TEST(IndexSegmentTest, WriterRejectsDanglingOrdinals) {
   ScopedTempDir dir("dangling_write");
-  store::IndexSegmentData posting;
-  posting.docs = {"a"};
-  posting.terms["word"] = {store::TermPostings{5, {0}}};
-  EXPECT_EQ(store::WriteIndexSegmentFile(dir.File("p.wfseg"), posting,
-                                         nullptr, nullptr)
-                .code(),
+  const uint32_t positions[] = {0};
+  const store::IndexRunWriter::Posting dangling[] = {{5, positions}};
+  store::IndexRunWriter posting;
+  posting.AddDoc("a");
+  posting.AddTerm("word", dangling);
+  EXPECT_EQ(posting.WriteTo(dir.File("p.wfseg"), nullptr).code(),
             common::StatusCode::kInvalidArgument);
-  store::IndexSegmentData field;
-  field.docs = {"a"};
-  field.fields["rating"] = {store::FieldValueEntry{4.0, 1}};
-  EXPECT_EQ(store::WriteIndexSegmentFile(dir.File("f.wfseg"), field, nullptr,
-                                         nullptr)
-                .code(),
+  const store::FieldValueEntry value[] = {{4.0, 1}};
+  store::IndexRunWriter field;
+  field.AddDoc("a");
+  field.AddField("rating", value);
+  EXPECT_EQ(field.WriteTo(dir.File("f.wfseg"), nullptr).code(),
             common::StatusCode::kInvalidArgument);
   EXPECT_TRUE(DirFiles(dir.path()).empty());
+}
+
+// A run whose one posting names doc 5 of a one-doc table, checksummed and
+// listed in a manifest: the index's only restore path refuses it, so no
+// later query or stats call meets the dangling posting.
+TEST(FrozenIndexTest, EnableSegmentsRejectsDanglingPosting) {
+  ScopedTempDir dir("dangling_restore");
+  std::string block;
+  store::PutVarint(1, &block);  // one posting
+  store::PutVarint(5, &block);  // its doc ordinal
+  store::PutVarint(0, &block);  // no positions
+  const std::string run = dir.File(store::RunFileName("idx", 1));
+  WriteIndexSegmentPayload(run, "wfpost 1 1 1 0\nd 1 a\nt word " +
+                                    std::to_string(block.size()) + "\n" +
+                                    block + "\n");
+  store::ManifestData manifest;
+  manifest.next_segment_id = 2;
+  manifest.segments.push_back(
+      store::SegmentMeta{1, 1, std::filesystem::file_size(run)});
+  ASSERT_TRUE(
+      store::SaveManifest(dir.File("idx.manifest"), manifest, nullptr).ok());
+  InvertedIndex index;
+  EXPECT_EQ(index.EnableSegments(dir.path(), "idx").code(),
+            common::StatusCode::kCorruption);
 }
 
 // The canonical image of `idx` (Save bytes): its whole logical content.
@@ -888,6 +911,31 @@ uint64_t LayoutFingerprint(const std::string& dir, const std::string& base,
   return common::Fnv1a64(bytes);
 }
 
+// Checks `<prefix>/bytes_written_total` against the runs: every run is
+// written once and is either live or a compaction input, so the bytes
+// written are the live runs' bytes plus the bytes compaction rewrote.
+// Returns the counter.
+uint64_t CheckBytesWritten(const obs::MetricsRegistry& metrics,
+                           const std::string& prefix, const std::string& dir,
+                           const std::string& base) {
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  const uint64_t written =
+      snapshot.CounterValue(prefix + "/bytes_written_total");
+  const uint64_t rewritten =
+      snapshot.CounterValue(prefix + "/compaction_bytes_rewritten_total");
+  auto manifest = store::LoadManifest(dir + "/" + base + ".manifest");
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  uint64_t live = 0;
+  if (manifest.ok()) {
+    for (const store::SegmentMeta& meta : manifest.value().segments) {
+      live += meta.bytes;
+    }
+  }
+  EXPECT_GT(rewritten, 0u) << prefix;
+  EXPECT_EQ(written, live + rewritten) << prefix;
+  return written;
+}
+
 // A deterministic pick in [0, n) for step `i` of stream `salt`.
 size_t Pick(const std::string& salt, size_t i, size_t n) {
   return common::Fnv1a64(salt + std::to_string(i)) % n;
@@ -898,7 +946,9 @@ TEST(SegmentLayoutTest, StoreRunsMatchGolden) {
   LsmOptions opts;
   opts.memtable_ceiling_bytes = 2 << 10;
   opts.compaction_fanout = 2;
+  obs::MetricsRegistry metrics;
   LsmTree tree;
+  tree.AttachMetrics(&metrics, "store");
   ASSERT_TRUE(tree.OpenSegments(dir.path(), "s", opts, nullptr).ok());
   for (size_t i = 0; i < 1500; ++i) {
     const std::string key =
@@ -918,6 +968,7 @@ TEST(SegmentLayoutTest, StoreRunsMatchGolden) {
   EXPECT_EQ(LayoutFingerprint(dir.path(), "s", &tiers),
             0x6dc2697f93702209ull);
   EXPECT_GE(tiers.size(), 2u);
+  EXPECT_EQ(CheckBytesWritten(metrics, "store", dir.path(), "s"), 376718u);
 }
 
 TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
@@ -926,7 +977,9 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
       "battery", "screen",  "zoom",  "lens",  "great", "poor",
       "glare",   "quality", "price", "strap", "flash", "menu",
       "sharp",   "blurry",  "heavy", "light", "fast",  "slow"};
+  obs::MetricsRegistry metrics;
   InvertedIndex idx;
+  idx.AttachMetrics(&metrics);
   ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx", nullptr,
                                  /*compaction_fanout=*/2)
                   .ok());
@@ -964,6 +1017,7 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
   EXPECT_EQ(LayoutFingerprint(dir.path(), "idx", &tiers),
             0xa65347af74840999ull);
   EXPECT_GE(tiers.size(), 2u);
+  EXPECT_EQ(CheckBytesWritten(metrics, "index", dir.path(), "idx"), 45817u);
 }
 
 // --- DataStore over segments ------------------------------------------------
