@@ -67,7 +67,7 @@ import json, sys
 sections = json.load(open(sys.argv[1]))["sections"]
 got = [(r["scale"], r["flushes"], r["compactions"], r["segments"])
        for r in sections["scale_sweep"]]
-assert got == [(1, 1, 0, 1), (10, 15, 3, 6), (100, 161, 52, 5)], got
+assert got == [(1, 1, 0, 1), (10, 14, 3, 5), (100, 150, 48, 6)], got
 print("BENCH_storage.json: (scale, flushes, compactions, segments) %s" % got)
 got = [(r["scale"], r["freezes"], r["compactions"], r["runs"])
        for r in sections["index_sweep"]]

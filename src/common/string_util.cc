@@ -105,13 +105,15 @@ std::vector<std::string> Split(std::string_view s, std::string_view delims) {
   return out;
 }
 
-bool SplitInto(std::string_view s, char delim,
-               std::span<std::string_view> out) {
+namespace {
+
+bool SplitIntoPieces(std::string_view s, char delim, bool keep_empty,
+                     std::span<std::string_view> out) {
   size_t n = 0;
   size_t start = 0;
   for (size_t i = 0; i <= s.size(); ++i) {
     if (i == s.size() || s[i] == delim) {
-      if (i > start) {
+      if (keep_empty || i > start) {
         if (n == out.size()) return false;
         out[n++] = s.substr(start, i - start);
       }
@@ -119,6 +121,18 @@ bool SplitInto(std::string_view s, char delim,
     }
   }
   return n == out.size();
+}
+
+}  // namespace
+
+bool SplitInto(std::string_view s, char delim,
+               std::span<std::string_view> out) {
+  return SplitIntoPieces(s, delim, /*keep_empty=*/false, out);
+}
+
+bool SplitExactInto(std::string_view s, char delim,
+                    std::span<std::string_view> out) {
+  return SplitIntoPieces(s, delim, /*keep_empty=*/true, out);
 }
 
 bool ParseUint64(std::string_view s, uint64_t* out, int base) {

@@ -46,6 +46,10 @@ std::vector<std::string> Split(std::string_view s, std::string_view delims);
 // pieces dropped, as views into `s`. False unless there are exactly
 // out.size() pieces.
 bool SplitInto(std::string_view s, char delim, std::span<std::string_view> out);
+// SplitInto keeping empty pieces: exactly one `delim` between two pieces,
+// so "t  12" is the three pieces "t", "", "12".
+bool SplitExactInto(std::string_view s, char delim,
+                    std::span<std::string_view> out);
 // Parses all of `s` as an unsigned integer in `base`; false on an empty
 // string, any other character, or overflow.
 bool ParseUint64(std::string_view s, uint64_t* out, int base = 10);

@@ -132,17 +132,22 @@ common::Status ClusterNode::Ingest(Entity entity) {
   if (store_.Contains(entity.id())) {
     return Status::AlreadyExists("entity exists: " + entity.id());
   }
-  if (!wal_.is_open()) return store_.Put(std::move(entity));
+  if (!wal_.is_open()) return store_.Put(entity);
   common::MutexLock lock(dur_mu_);
   // Log-then-store: the WAL append is the ack barrier. If it fails the
-  // write was never acked, so the store must not accept it either.
-  Status logged = wal_.Append(entity.Serialize());
+  // write was never acked, so the store must not accept it either. The
+  // log and the store hold the same record, encoded once.
+  const std::string record = entity.EncodeRecord();
+  const uint64_t acked_before = wal_.acked_bytes();
+  Status logged = wal_.Append(record);
   if (!logged.ok()) {
     metrics_.GetCounter("wal/append_failures_total")->Add(1);
     return logged;
   }
   metrics_.GetCounter("wal/appends_total")->Add(1);
-  WF_RETURN_IF_ERROR(store_.Put(std::move(entity)));
+  metrics_.GetCounter("wal/bytes_written_total")
+      ->Add(wal_.acked_bytes() - acked_before);
+  WF_RETURN_IF_ERROR(store_.PutRecord(entity.id(), record));
   if (checkpoint_every_appends_ > 0 &&
       ++appends_since_checkpoint_ >= checkpoint_every_appends_) {
     // Best effort: the write is already durable in the WAL, so a failed
@@ -192,9 +197,9 @@ common::Status ClusterNode::Recover() {
   if (!replay_or.ok()) return replay_or.status();
   const WriteAheadLog::ReplayResult& replay = replay_or.value();
   for (const std::string& record : replay.records) {
-    WF_ASSIGN_OR_RETURN(Entity entity, Entity::Deserialize(record));
+    WF_ASSIGN_OR_RETURN(Entity entity, Entity::DecodeRecord(record));
     index_.IndexEntity(entity);
-    WF_RETURN_IF_ERROR(store_.Upsert(std::move(entity)));
+    WF_RETURN_IF_ERROR(store_.Upsert(entity));
   }
   metrics_.GetCounter("wal/replayed_records_total")
       ->Add(replay.records.size());

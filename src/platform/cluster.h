@@ -93,10 +93,11 @@ class ClusterNode {
     return wal_.is_open();
   }
 
-  // Durable write: the entity's serialized record is appended to the WAL
-  // and flushed *before* the store accepts it — IOError means nothing was
-  // acked and nothing was stored. Without durability enabled this is just
-  // store().Put. AlreadyExists for duplicate ids (not logged).
+  // Durable write: the entity's binary record (Entity::EncodeRecord) is
+  // appended to the WAL and flushed *before* the store accepts the same
+  // record — IOError means nothing was acked and nothing was stored.
+  // Without durability enabled this is just store().Put. AlreadyExists
+  // for duplicate ids (not logged).
   common::Status Ingest(Entity entity);
 
   // Flushes the store's memtable to a segment, freezes the index's delta

@@ -8,19 +8,6 @@ namespace wf::platform {
 
 using ::wf::common::Status;
 
-namespace {
-
-// Stored records were serialized by this process (or verified by a
-// segment checksum on the way in), so a deserialize failure is a logic
-// bug, not an input error.
-Entity MustDeserialize(const std::string& record) {
-  auto entity = Entity::Deserialize(record);
-  WF_CHECK_OK(entity.status());
-  return std::move(entity).value();
-}
-
-}  // namespace
-
 void DataStore::AttachMetrics(const obs::MetricsRegistry* metrics) {
   lsm_.AttachMetrics(metrics, "store");
 }
@@ -32,19 +19,22 @@ common::Status DataStore::EnableSegments(
   return lsm_.OpenSegments(dir, base, options, injector);
 }
 
-common::Status DataStore::Put(Entity entity) {
-  const std::string id = entity.id();
-  return lsm_.Insert(id, entity.Serialize());
+common::Status DataStore::Put(const Entity& entity) {
+  return PutRecord(entity.id(), entity.EncodeRecord());
 }
 
-common::Status DataStore::Upsert(Entity entity) {
-  const std::string id = entity.id();
-  return lsm_.Put(id, entity.Serialize());
+common::Status DataStore::PutRecord(const std::string& id,
+                                    std::string_view record) {
+  return lsm_.Insert(id, record);
+}
+
+common::Status DataStore::Upsert(const Entity& entity) {
+  return lsm_.Put(entity.id(), entity.EncodeRecord());
 }
 
 common::Result<Entity> DataStore::Get(const std::string& id) const {
   WF_ASSIGN_OR_RETURN(std::string record, lsm_.Get(id));
-  return Entity::Deserialize(record);
+  return Entity::DecodeRecord(record);
 }
 
 bool DataStore::Contains(const std::string& id) const {
@@ -58,19 +48,24 @@ common::Status DataStore::Delete(const std::string& id) {
 common::Status DataStore::Update(const std::string& id,
                                  const std::function<void(Entity&)>& fn) {
   return lsm_.Update(id, [&fn](std::string* record) {
-    WF_ASSIGN_OR_RETURN(Entity entity, Entity::Deserialize(*record));
+    WF_ASSIGN_OR_RETURN(Entity entity, Entity::DecodeRecord(*record));
     fn(entity);
-    *record = entity.Serialize();
+    *record = entity.EncodeRecord();
     return Status::Ok();
   });
 }
 
 void DataStore::ForEach(const std::function<void(const Entity&)>& fn) const {
-  WF_CHECK_OK(lsm_.ForEachSorted(
-      [&fn](const std::string&, const std::string& record) {
-        fn(MustDeserialize(record));
-        return Status::Ok();
-      }));
+  // One Get per id, as the mining sweep reads: the tree's lock is held
+  // for one lookup at a time, never while a record decodes or `fn` runs.
+  for (const std::string& id : Ids()) {
+    common::Result<Entity> entity = Get(id);
+    // Deleted since Ids(). Any other failure is a record this process
+    // wrote that no longer reads back.
+    if (entity.status().code() == common::StatusCode::kNotFound) continue;
+    WF_CHECK_OK(entity.status());
+    fn(entity.value());
+  }
 }
 
 size_t DataStore::size() const { return lsm_.size(); }
@@ -84,16 +79,18 @@ std::vector<std::string> DataStore::Ids() const {
 
 common::Status DataStore::Save(const std::string& path,
                                common::StorageFaultInjector* injector) const {
-  // Length-prefixed entity records under the checksummed snapshot
-  // envelope, written temp-then-rename. Records stream from the merged
-  // sorted sweep, so the payload is a pure function of the store's
-  // logical contents: a shard rebuilt from segments + WAL replay saves
-  // the same bytes as the shard that never crashed, whatever their
-  // segment layouts look like.
+  // Length-prefixed canonical text records (Entity::Serialize) under the
+  // checksummed snapshot envelope, written temp-then-rename. Records
+  // stream from the merged sorted sweep, so the payload is a pure function
+  // of the store's logical contents: a shard rebuilt from segments + WAL
+  // replay saves the same bytes as the shard that never crashed, whatever
+  // their segment layouts look like.
   std::ostringstream payload;
   WF_RETURN_IF_ERROR(lsm_.ForEachSorted(
       [&payload](const std::string&, const std::string& record) {
-        payload << record.size() << "\n" << record;
+        WF_ASSIGN_OR_RETURN(Entity entity, Entity::DecodeRecord(record));
+        const std::string text = entity.Serialize();
+        payload << text.size() << "\n" << text;
         return Status::Ok();
       }));
   return common::WriteSnapshotFile(path, common::kSnapKindStore,
@@ -129,9 +126,8 @@ common::Status DataStore::Load(const std::string& path) {
     loaded.push_back(std::move(entity).value());
   }
   WF_RETURN_IF_ERROR(lsm_.ClearEphemeral());
-  for (Entity& entity : loaded) {
-    const std::string id = entity.id();
-    WF_RETURN_IF_ERROR(lsm_.Put(id, entity.Serialize()));
+  for (const Entity& entity : loaded) {
+    WF_RETURN_IF_ERROR(lsm_.Put(entity.id(), entity.EncodeRecord()));
   }
   return Status::Ok();
 }

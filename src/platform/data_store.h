@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -16,11 +17,11 @@ namespace wf::platform {
 // One node's entity store (§2: "The data store stores, modifies, and
 // retrieves entities"). Thread-safe.
 //
-// Since PR 8 the store is an adapter over store::LsmTree: entities are
-// serialized records keyed by id in a memtable over immutable sorted
-// segment files (DESIGN.md §13). By default the tree is ephemeral (pure
-// in-memory, the old behavior); EnableSegments switches on the durable
-// tiers, after which a full memtable flushes to a segment automatically
+// The store is an adapter over store::LsmTree: entities are binary
+// records (Entity::EncodeRecord) keyed by id in a memtable over immutable
+// sorted segment files (DESIGN.md §13). By default the tree is ephemeral
+// (pure in-memory); EnableSegments switches on the durable tiers, after
+// which a full memtable flushes to a segment automatically
 // and Flush() is the checkpoint operation. Reads and sweeps merge the
 // tiers newest-first, so callers never see the difference.
 class DataStore {
@@ -49,10 +50,14 @@ class DataStore {
   common::Status Flush() { return lsm_.Flush(); }
 
   // Inserts a new entity; AlreadyExists if the id is taken.
-  common::Status Put(Entity entity);
+  common::Status Put(const Entity& entity);
+  // Put of the entity `id` as Entity::EncodeRecord encoded it, for a
+  // caller that already holds the record (a node's ingest logs the same
+  // bytes to its WAL).
+  common::Status PutRecord(const std::string& id, std::string_view record);
   // Inserts or replaces. The error surface is the segment flush a full
   // memtable triggers — the entity itself is always accepted.
-  common::Status Upsert(Entity entity);
+  common::Status Upsert(const Entity& entity);
   // NotFound when absent.
   common::Result<Entity> Get(const std::string& id) const;
   bool Contains(const std::string& id) const;
@@ -63,9 +68,10 @@ class DataStore {
   common::Status Update(const std::string& id,
                         const std::function<void(Entity&)>& fn);
 
-  // Applies `fn` to every live entity in sorted-id order, streaming one
-  // deserialized entity at a time (under the lock; `fn` must not call
-  // back into the store).
+  // Applies `fn` to every entity live at the call, in sorted-id order,
+  // one Get at a time: no lock is held while an entity decodes or `fn`
+  // runs, so `fn` may call back into the store and writers are never
+  // starved. An entity deleted before the sweep reaches it is skipped.
   void ForEach(const std::function<void(const Entity&)>& fn) const;
 
   size_t size() const;
@@ -75,8 +81,9 @@ class DataStore {
   std::vector<std::string> Ids() const;
 
   // Snapshot persistence. Save writes the merged logical image (every
-  // live entity, sorted by id) atomically under the checksummed `wfsnap
-  // store` envelope — a pure function of the store's contents, so shards
+  // live entity in its canonical text, sorted by id) atomically under the
+  // checksummed `wfsnap store` envelope — a pure function of the store's
+  // contents, so shards
   // with different segment layouts but equal data save identical bytes.
   // Load replaces the contents and is ephemeral-mode only
   // (FailedPrecondition in segment mode, where the manifest owns disk

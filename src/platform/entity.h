@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +26,15 @@ struct AnnotationSpan {
 // page" (§2). The paper's store keeps entities as XML; ours keeps typed
 // fields plus named annotation layers that miners append to. Conceptual
 // tokens (miner-produced index terms) live in `concept_tokens`.
+//
+// Two encodings, each exact (decoding gives back an equal entity):
+//  * EncodeRecord/DecodeRecord, a varint binary record, is how a node
+//    holds an entity: in its store (memtable and segment runs) and its
+//    WAL. An attribute equal to its span's body text is written as a
+//    back-reference, not a copy (DESIGN.md §13).
+//  * Serialize/Deserialize, line-oriented escaped text, is the canonical
+//    form where bytes leave a node or are pinned: DataStore::Save/Load
+//    snapshots and the node/<i>/fetch reply.
 class Entity {
  public:
   Entity() = default;
@@ -65,9 +75,15 @@ class Entity {
     return concept_tokens_;
   }
 
-  // Line-oriented serialization (used by the data store's persistence).
+  // The canonical text form.
   std::string Serialize() const;
   static common::Result<Entity> Deserialize(const std::string& data);
+
+  // The binary record. DecodeRecord takes exactly what EncodeRecord
+  // writes: Corruption for any other format byte, a short or overlong
+  // record, keys out of order, or a back-reference past the body.
+  std::string EncodeRecord() const;
+  static common::Result<Entity> DecodeRecord(std::string_view record);
 
   friend bool operator==(const Entity& a, const Entity& b) {
     return a.id_ == b.id_ && a.source_ == b.source_ &&

@@ -300,7 +300,7 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
     return CorruptIndexSegment(path, "missing header line");
   }
   std::string_view head[5];
-  if (!common::SplitInto(body.substr(0, pos), ' ', head) ||
+  if (!common::SplitExactInto(body.substr(0, pos), ' ', head) ||
       head[0] != "wfpost" || head[1] != "1") {
     return CorruptIndexSegment(path, "bad header");
   }
@@ -326,7 +326,7 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
       return CorruptIndexSegment(path, "truncated doc line");
     }
     std::string_view parts[3];
-    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+    if (!common::SplitExactInto(body.substr(pos, eol - pos), ' ', parts) ||
         parts[0] != "d" || parts[1] != "1") {
       return CorruptIndexSegment(path, "bad doc line");
     }
@@ -345,7 +345,7 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
       return CorruptIndexSegment(path, "truncated term line");
     }
     std::string_view parts[3];
-    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+    if (!common::SplitExactInto(body.substr(pos, eol - pos), ' ', parts) ||
         parts[0] != "t") {
       return CorruptIndexSegment(path, "bad term line");
     }
@@ -386,7 +386,7 @@ common::Result<std::unique_ptr<IndexSegmentReader>> IndexSegmentReader::Open(
       return CorruptIndexSegment(path, "truncated field line");
     }
     std::string_view parts[4];
-    if (!common::SplitInto(body.substr(pos, eol - pos), ' ', parts) ||
+    if (!common::SplitExactInto(body.substr(pos, eol - pos), ' ', parts) ||
         parts[0] != "f") {
       return CorruptIndexSegment(path, "bad field line");
     }

@@ -28,6 +28,10 @@ namespace wf::store {
 //   t <escaped-term> <block-bytes>\n<block>\n    (nterms, sorted by term)
 //   f <escaped-field> <value> <doc-ord>\n        (field lines, sorted)
 //
+// A line's pieces are separated by exactly one space, and an escaped doc
+// id, term or field name may be empty (`t  <block-bytes>`); the reader
+// keeps the empty piece.
+//
 // A posting block is varint-coded: doc count, then per doc its ordinal
 // delta, position count, and position deltas — small and cheap to skip.
 // Doc ordinals are positions in this segment's own sorted doc table; the

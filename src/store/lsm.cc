@@ -50,7 +50,7 @@ common::Status WriteMergedSegment(
     values.push_back(std::move(value));
     records.push_back({win_entry->key, values.back(), false});
   }
-  return WriteSegmentFile(path, records, injector, /*bytes_out=*/nullptr);
+  return WriteSegmentFile(path, records, injector);
 }
 
 }  // namespace
@@ -332,8 +332,7 @@ common::Status LsmTree::FlushLocked() {
   WF_RETURN_IF_ERROR(segments_.Append(
       [&records, &bloom](const std::string& path,
                          common::StorageFaultInjector* injector) {
-        return WriteSegmentFile(path, records, injector,
-                                /*bytes_out=*/nullptr, &bloom);
+        return WriteSegmentFile(path, records, injector, &bloom);
       }));
   // The filter built at write time and the one rebuilt at open must agree,
   // or reads through the reopened reader could skip a live key.

@@ -22,36 +22,50 @@ common::Status CorruptSegment(const std::string& path,
 common::Status WriteSegmentFile(const std::string& path,
                                 const std::vector<SegmentRecord>& records,
                                 common::StorageFaultInjector* injector,
-                                uint64_t* bytes_out,
                                 BloomFilter* bloom_out) {
-  std::string payload =
-      common::StrFormat("wfseg 1 %zu\n", records.size());
+  // The payload goes to disk as parts: every line the format adds lives
+  // in `lines`, and keys and values are views of the caller's records, so
+  // no contiguous copy of the run is ever built. Each record's header
+  // line carries the previous record's terminator in front of it; the
+  // line ends are recorded as offsets and turned into views once `lines`
+  // stops growing.
+  std::string lines = common::StrFormat("wfseg 1 %zu\n", records.size());
+  lines.reserve(lines.size() + records.size() * 32 + 1);
+  std::vector<size_t> line_ends;
+  line_ends.reserve(records.size() + 1);
   // Built alongside the payload so the flush path gets its filter for free
   // (the reopened reader rebuilds a bit-identical one from the key index).
   BloomFilter bloom(records.size());
-  std::string_view prev;
   for (size_t i = 0; i < records.size(); ++i) {
     const SegmentRecord& rec = records[i];
-    if (i > 0 && !(prev < rec.key)) {
+    if (i > 0 && !(records[i - 1].key < rec.key)) {
       return common::Status::InvalidArgument(
           "segment records not strictly sorted at key '" +
           std::string(rec.key) + "'");
     }
-    prev = rec.key;
     bloom.Add(rec.key);
-    payload += common::StrFormat("r %zu %zu %d\n", rec.key.size(),
-                                 rec.value.size(), rec.tombstone ? 1 : 0);
-    payload.append(rec.key.data(), rec.key.size());
-    payload.append(rec.value.data(), rec.value.size());
-    payload.push_back('\n');
+    if (i > 0) lines.push_back('\n');
+    lines += common::StrFormat("r %zu %zu %d\n", rec.key.size(),
+                               rec.value.size(), rec.tombstone ? 1 : 0);
+    line_ends.push_back(lines.size());
+  }
+  if (!records.empty()) lines.push_back('\n');
+  line_ends.push_back(lines.size());
+
+  std::vector<std::string_view> parts;
+  parts.reserve(3 * records.size() + 1);
+  const std::string_view all = lines;
+  size_t line_begin = 0;
+  for (size_t i = 0; i < line_ends.size(); ++i) {
+    parts.push_back(all.substr(line_begin, line_ends[i] - line_begin));
+    line_begin = line_ends[i];
+    if (i < records.size()) {
+      parts.push_back(records[i].key);
+      parts.push_back(records[i].value);
+    }
   }
   WF_RETURN_IF_ERROR(common::WriteSnapshotFile(
-      path, common::kSnapKindSegment, kSegmentVersion, payload, injector));
-  if (bytes_out != nullptr) {
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(path, ec);
-    *bytes_out = ec ? payload.size() : size;
-  }
+      path, common::kSnapKindSegment, kSegmentVersion, parts, injector));
   if (bloom_out != nullptr) *bloom_out = std::move(bloom);
   return common::Status::Ok();
 }

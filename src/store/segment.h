@@ -40,15 +40,14 @@ struct SegmentRecord {
   bool tombstone = false;
 };
 
-// Writes `records` (already sorted by key, unique) as a segment file.
-// Returns the total file size (envelope + payload) through `bytes_out`
-// when non-null, and the key Bloom filter through `bloom_out` when
-// non-null (bit-identical to what SegmentReader::Open rebuilds).
-// InvalidArgument on unsorted or duplicate keys.
+// Writes `records` (already sorted by key, unique) as a segment file,
+// streaming the keys and values from the views in `records` without
+// joining them into one payload. Returns the key Bloom filter through
+// `bloom_out` when non-null (bit-identical to what SegmentReader::Open
+// rebuilds). InvalidArgument on unsorted or duplicate keys.
 common::Status WriteSegmentFile(const std::string& path,
                                 const std::vector<SegmentRecord>& records,
                                 common::StorageFaultInjector* injector,
-                                uint64_t* bytes_out,
                                 BloomFilter* bloom_out = nullptr);
 
 // Read handle over one segment file. Open() verifies the whole envelope

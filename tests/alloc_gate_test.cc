@@ -3,7 +3,8 @@
 // costs, with the per-document budget held under a recorded ceiling (the
 // arena/interner refactor bought these numbers; this gate keeps them); and
 // how much heap a checkpoint's index freeze and an index compaction take
-// for a while, held to a multiple of the run they write.
+// for a while, held to a multiple of the run they write; and how many
+// allocations one store Upsert + Get of a mined page costs.
 //
 // Not meaningful under sanitizers (interceptors replace operator new), so
 // tests/CMakeLists.txt registers this binary only in plain builds.
@@ -237,6 +238,35 @@ TEST(AllocGateTest, IndexCompactionPeakStaysWithinThreeRunBytes) {
               kRunBytesMultiple);
   EXPECT_LE(static_cast<double>(growth),
             kRunBytesMultiple * static_cast<double>(run_bytes));
+}
+
+// --- Store codec ------------------------------------------------------------------
+//
+// One Upsert and one Get of a mined web page: the commit thread's encode
+// and a reader's decode of the binary record, with the memtable entry and
+// the copy Get hands out. The escaped text record took 63 allocations
+// here, the binary record takes 19; the ceiling sits between the two.
+constexpr uint64_t kUpsertGetAllocsCeiling = 40;
+
+TEST(AllocGateTest, StoreUpsertAndGetOfAMinedPageStayUnderBudget) {
+  const std::vector<platform::Entity> mined = MinedWebPages(20);
+  const platform::Entity* page = nullptr;
+  for (const platform::Entity& e : mined) {
+    if (e.GetAnnotations("sentiment") != nullptr) {
+      page = &e;
+      break;
+    }
+  }
+  ASSERT_NE(page, nullptr);
+  platform::DataStore store;
+  const uint64_t allocs = CountAllocs([&store, page] {
+    ASSERT_TRUE(store.Upsert(*page).ok());
+    ASSERT_TRUE(store.Get(page->id()).ok());
+  });
+  std::printf("store upsert + get allocs: %llu (ceiling %llu)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(kUpsertGetAllocsCeiling));
+  EXPECT_LE(allocs, kUpsertGetAllocsCeiling);
 }
 
 }  // namespace

@@ -481,6 +481,11 @@ TEST(ClusterNodeDurabilityTest, UnackedWriteIsNeitherStoredNorRecovered) {
                   .Snapshot()
                   .CounterValue("wal/append_failures_total"),
               1u);
+    // The byte counter holds the acked frames: the log less its 8-byte
+    // header and the 7 torn bytes.
+    EXPECT_EQ(node.metrics().Snapshot().CounterValue(
+                  "wal/bytes_written_total"),
+              std::filesystem::file_size(dir.File("node-0.wal")) - 8 - 7);
   }
   injector.ClearCrashes();
   ClusterNode revived(0);
@@ -511,7 +516,7 @@ TEST(ClusterNodeDurabilityTest, AutoCheckpointEveryNAppends) {
   auto replay = WriteAheadLog::Replay(dir.File("node-0.wal"));
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay.value().records.size(), 1u);
-  auto last = Entity::Deserialize(replay.value().records[0]);
+  auto last = Entity::DecodeRecord(replay.value().records[0]);
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(last.value().id(), "e4");
 }

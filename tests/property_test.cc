@@ -9,8 +9,15 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/analysis.h"
+#include "corpus/domain.h"
+#include "corpus/web_gen.h"
+#include "lexicon/pattern_db.h"
+#include "lexicon/sentiment_lexicon.h"
 #include "platform/entity.h"
 #include "platform/indexer.h"
+#include "platform/miner_framework.h"
+#include "platform/sentiment_miner_plugin.h"
 #include "platform/vinci.h"
 #include "spot/spotter.h"
 #include "text/sentence_splitter.h"
@@ -275,6 +282,165 @@ TEST(EntityProperty, RoundTripsRandomContent) {
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(*restored, e);
   }
+}
+
+// --- Entity record codec ------------------------------------------------------
+
+// Up to `max_len` of the bytes a record must carry through: newline, tab,
+// backslash, '=', NUL and a letter. Empty one time in max_len + 1.
+std::string HostileString(common::Rng& rng, size_t max_len) {
+  static constexpr char kBytes[] = {'\n', '\t', '\\', '=', '\0', 'x'};
+  std::string out;
+  const size_t len = static_cast<size_t>(
+      rng.Uniform(0, static_cast<int64_t>(max_len)));
+  for (size_t i = 0; i < len; ++i) out += kBytes[rng.Index(6)];
+  return out;
+}
+
+TEST(EntityProperty, RecordRoundTripsRandomEntities) {
+  common::Rng rng(1009);
+  for (int trial = 0; trial < 300; ++trial) {
+    platform::Entity e(HostileString(rng, 12), HostileString(rng, 6));
+    // One entity in five has no body field at all.
+    if (!rng.Bernoulli(0.2)) e.SetBody(HostileString(rng, 60));
+    const size_t fields = static_cast<size_t>(rng.Uniform(0, 3));
+    for (size_t f = 0; f < fields; ++f) {
+      e.SetField(HostileString(rng, 6), HostileString(rng, 20));
+    }
+    const std::string& body = e.body();
+    const size_t layers = static_cast<size_t>(rng.Uniform(0, 3));
+    for (size_t l = 0; l < layers; ++l) {
+      const std::string layer = HostileString(rng, 6);
+      const size_t spans = static_cast<size_t>(rng.Uniform(0, 4));
+      for (size_t k = 0; k < spans; ++k) {
+        platform::AnnotationSpan span;
+        // Some spans run past the body's end, or end before they begin.
+        span.begin = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(body.size()) + 8));
+        span.end = rng.Bernoulli(0.1)
+                       ? span.begin - std::min<size_t>(span.begin, 3)
+                       : span.begin + static_cast<size_t>(rng.Uniform(0, 20));
+        const size_t attrs = static_cast<size_t>(rng.Uniform(0, 3));
+        for (size_t a = 0; a < attrs; ++a) {
+          const bool in_body = span.end <= body.size() && span.begin <= span.end;
+          span.attrs[HostileString(rng, 6)] =
+              in_body && rng.Bernoulli(0.5)
+                  ? body.substr(span.begin, span.end - span.begin)
+                  : HostileString(rng, 12);
+        }
+        e.AddAnnotation(layer, std::move(span));
+      }
+    }
+    const size_t tokens = static_cast<size_t>(rng.Uniform(0, 3));
+    for (size_t t = 0; t < tokens; ++t) {
+      e.AddConceptToken(HostileString(rng, 10));
+    }
+
+    auto restored = platform::Entity::DecodeRecord(e.EncodeRecord());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(*restored, e) << "trial " << trial;
+  }
+}
+
+TEST(EntityProperty, RecordRoundTripsEmptyStringsEverywhere) {
+  for (bool with_body : {false, true}) {
+    platform::Entity e("", "");
+    if (with_body) e.SetBody("");
+    e.SetField("", "");
+    platform::AnnotationSpan span;
+    span.attrs[""] = "";
+    e.AddAnnotation("", span);
+    e.AddConceptToken("");
+    auto restored = platform::Entity::DecodeRecord(e.EncodeRecord());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(*restored, e);
+  }
+}
+
+// The first page of a seeded web crawl that the sentiment miner annotates,
+// mined as a node mines it.
+platform::Entity MinedWebPage() {
+  const auto lexicon = lexicon::SentimentLexicon::Embedded();
+  const auto patterns = lexicon::PatternDatabase::Embedded();
+  platform::AdHocSentimentMinerPlugin sentiment(&lexicon, &patterns);
+  platform::SentenceBoundaryMiner sentences;
+  platform::TokenStatsMiner token_stats;
+  for (const corpus::GeneratedDoc& d : corpus::GenerateWebDocs(
+           corpus::PetroleumDomain(), 20, 77, corpus::WebGenOptions{})) {
+    platform::Entity e(d.id, "crawl");
+    e.SetBody(d.body);
+    std::unique_ptr<core::LinguisticAnalysis> analysis =
+        core::AnalyzeDocument(d.body);
+    EXPECT_TRUE(sentences.Process(e, {*analysis}).ok());
+    EXPECT_TRUE(sentiment.Process(e, {*analysis}).ok());
+    EXPECT_TRUE(token_stats.Process(e, {*analysis}).ok());
+    if (e.GetAnnotations("sentiment") != nullptr) return e;
+  }
+  ADD_FAILURE() << "no page in the crawl has a sentiment span";
+  return {};
+}
+
+TEST(EntityProperty, RecordBacksReferencesAndRejectsEveryStrictPrefix) {
+  const platform::Entity page = MinedWebPage();
+  const std::vector<platform::AnnotationSpan>* mentions =
+      page.GetAnnotations("sentiment");
+  ASSERT_NE(mentions, nullptr);
+  const std::string record = page.EncodeRecord();
+  auto restored = platform::Entity::DecodeRecord(record);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(*restored, page);
+  // Each mention's sentence attribute is its span's body text, so the
+  // record refers to the body instead of copying it: the same page with
+  // every sentence changed by one byte encodes each one in full.
+  platform::Entity copied(page.id(), page.source());
+  for (const auto& [name, value] : page.fields()) copied.SetField(name, value);
+  size_t sentence_bytes = 0;
+  for (const auto& [layer, spans] : page.annotations()) {
+    for (platform::AnnotationSpan span : spans) {
+      auto sentence = span.attrs.find("sentence");
+      if (layer == "sentiment" && sentence != span.attrs.end()) {
+        ASSERT_EQ(sentence->second,
+                  page.body().substr(span.begin, span.end - span.begin));
+        sentence_bytes += sentence->second.size();
+        sentence->second += '!';
+      }
+      copied.AddAnnotation(layer, std::move(span));
+    }
+  }
+  for (const std::string& token : page.concept_tokens()) {
+    copied.AddConceptToken(token);
+  }
+  ASSERT_GT(sentence_bytes, 0u);
+  EXPECT_GT(copied.EncodeRecord().size(), record.size() + sentence_bytes);
+
+  for (size_t n = 0; n < record.size(); ++n) {
+    EXPECT_EQ(platform::Entity::DecodeRecord(record.substr(0, n))
+                  .status()
+                  .code(),
+              common::StatusCode::kCorruption)
+        << "prefix of " << n << " of " << record.size() << " bytes";
+  }
+  // The canonical text form is not a record.
+  EXPECT_EQ(platform::Entity::DecodeRecord(page.Serialize()).status().code(),
+            common::StatusCode::kCorruption);
+}
+
+TEST(EntityProperty, RecordRejectsABackReferencePastTheBody) {
+  platform::Entity e("id", "src");
+  e.SetBody("short body");
+  platform::AnnotationSpan span{.begin = 6, .end = 10, .attrs = {}};
+  span.attrs["word"] = "body";
+  e.AddAnnotation("words", span);
+  std::string record = e.EncodeRecord();
+  ASSERT_TRUE(platform::Entity::DecodeRecord(record).ok());
+  // Shorten the body by one byte in place: its length byte and its last
+  // character. The span's reference now ends past it.
+  const std::string field = std::string("\x0A") + "short body";
+  const size_t at = record.find(field);
+  ASSERT_NE(at, std::string::npos);
+  record.replace(at, field.size(), std::string("\x09") + "short bod");
+  EXPECT_EQ(platform::Entity::DecodeRecord(record).status().code(),
+            common::StatusCode::kCorruption);
 }
 
 // --- Vinci wire format fuzz ---------------------------------------------------------------

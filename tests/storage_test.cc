@@ -155,8 +155,8 @@ TEST(SegmentBloomTest, WriterAndReopenedReaderBuildIdenticalFilters) {
     records.push_back({keys[i], values[i], false});
   }
   store::BloomFilter written;
-  ASSERT_TRUE(store::WriteSegmentFile(dir.File("b.wfseg"), records, nullptr,
-                                      nullptr, &written)
+  ASSERT_TRUE(store::WriteSegmentFile(dir.File("b.wfseg"), records,
+                                      /*injector=*/nullptr, &written)
                   .ok());
   auto reader = store::SegmentReader::Open(dir.File("b.wfseg"));
   ASSERT_TRUE(reader.ok());
@@ -629,6 +629,40 @@ TEST(FrozenIndexTest, FullyShadowedFrozenTermsLeaveTheVocabulary) {
   EXPECT_EQ(idx.vocabulary_size(), 2u);
   EXPECT_EQ(idx.VocabularyWithPrefix("al"),
             (std::vector<std::string>{"alpha"}));
+}
+
+// An empty concept token, field name or doc id escapes to nothing, so its
+// run line reads `t  <len>`, `f  <value> <ord>` or `d 1 `: the reader keeps
+// the empty piece, and the frozen run answers as the delta did.
+TEST(FrozenIndexTest, EmptyTokenFieldAndDocIdSurviveFreezeAndReopen) {
+  ScopedTempDir dir("frozen_empty");
+  Entity page("d1", "reviews");
+  page.SetBody("plain words");
+  page.AddConceptToken("");
+  page.SetField("", "4.5");
+  Entity nameless("", "reviews");
+  nameless.SetBody("more words");
+  std::vector<std::string> term, range, words;
+  {
+    InvertedIndex idx;
+    ASSERT_TRUE(idx.EnableSegments(dir.path(), "idx").ok());
+    idx.IndexEntity(page);
+    idx.IndexEntity(nameless);
+    term = idx.Term("");
+    range = idx.Range("", 4.0, 5.0);
+    words = idx.Term("words");
+    EXPECT_EQ(term, (std::vector<std::string>{"d1"}));
+    EXPECT_EQ(range, (std::vector<std::string>{"d1"}));
+    EXPECT_EQ(words, (std::vector<std::string>{"", "d1"}));
+    ASSERT_TRUE(idx.Freeze().ok());
+    EXPECT_EQ(idx.frozen_segment_count(), 1u);
+  }
+  InvertedIndex reopened;
+  ASSERT_TRUE(reopened.EnableSegments(dir.path(), "idx").ok());
+  EXPECT_EQ(reopened.frozen_segment_count(), 1u);
+  EXPECT_EQ(reopened.Term(""), term);
+  EXPECT_EQ(reopened.Range("", 4.0, 5.0), range);
+  EXPECT_EQ(reopened.Term("words"), words);
 }
 
 TEST(FrozenIndexTest, FreezeCrashAtEveryOpPreservesCommittedTiers) {
