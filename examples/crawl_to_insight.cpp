@@ -1,9 +1,14 @@
 // End-to-end platform walkthrough (Figure 1): a simulated web crawl feeds
-// the cluster, entity-level miners annotate each page, the indexer builds
-// text + conceptual indices, the store snapshots to disk and reloads, and
-// queries run scatter/gather over the Vinci bus.
+// a durable cluster, entity-level miners annotate each page, the indexer
+// builds text + conceptual indices, every node checkpoints, crashes and
+// restarts from its segments, and queries run scatter/gather over the
+// Vinci bus.
 //
-//   $ ./crawl_to_insight [snapshot_dir]
+//   $ ./crawl_to_insight [data_dir]
+//
+// `data_dir` is emptied first: a durable cluster recovers whatever its
+// directory holds, so a second run would otherwise restore the first
+// run's shards and refuse every ingest of the same pages.
 
 #include <cstdio>
 #include <filesystem>
@@ -24,8 +29,8 @@
 
 int main(int argc, char** argv) {
   using namespace wf;
-  std::string snapshot_dir =
-      argc > 1 ? argv[1] : "/tmp/webfountain_snapshot";
+  const std::string data_dir =
+      argc > 1 ? argv[1] : "/tmp/webfountain_crawl_to_insight";
 
   // Build a small synthetic "web": pages link to the next few pages.
   corpus::WebDataset petro = corpus::BuildPetroleumWebDataset(7);
@@ -54,6 +59,11 @@ int main(int argc, char** argv) {
       });
 
   platform::Cluster cluster(4);
+  std::filesystem::remove_all(data_dir);
+  std::filesystem::create_directories(data_dir);
+  platform::Cluster::DurabilityOptions durability;
+  durability.dir = data_dir;
+  WF_CHECK_OK(cluster.EnableDurability(durability));
   size_t stored = platform::IngestAll(crawler, cluster);
   std::printf("Crawled %zu pages into %zu shards.\n", stored,
               cluster.node_count());
@@ -82,28 +92,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Snapshot every shard to disk and reload it into a fresh cluster.
-  std::filesystem::create_directories(snapshot_dir);
+  // Checkpoint every shard to its segments, then crash each node and
+  // restart it from disk.
+  WF_CHECK_OK(cluster.CheckpointAll());
   for (size_t n = 0; n < cluster.node_count(); ++n) {
-    WF_CHECK_OK(cluster.node(n).store().Save(
-        common::StrFormat("%s/shard-%zu.wfs", snapshot_dir.c_str(), n)));
+    WF_CHECK_OK(cluster.CrashNode(n));
+    WF_CHECK_OK(cluster.RestartNode(n));
   }
-  platform::Cluster restored(4);
-  for (size_t n = 0; n < restored.node_count(); ++n) {
-    WF_CHECK_OK(restored.node(n).store().Load(
-        common::StrFormat("%s/shard-%zu.wfs", snapshot_dir.c_str(), n)));
-    restored.node(n).MineAndIndex();  // no miners deployed: index only
-  }
-  std::printf("Snapshot round-trip: %zu entities restored to %s.\n",
-              restored.TotalEntities(), snapshot_dir.c_str());
+  std::printf("Checkpoint, crash and restart: %zu entities recovered from "
+              "%s.\n",
+              cluster.TotalEntities(), data_dir.c_str());
 
   // Queries: full-text over the bus, then sentiment roll-ups.
   std::printf("\nPages mentioning 'pipeline': %zu\n",
-              restored.Search("pipeline").docs.size());
+              cluster.Search("pipeline").docs.size());
   std::printf("Pages with the phrase 'safety record': %zu\n",
-              restored.SearchPhrase({"safety", "record"}).docs.size());
+              cluster.SearchPhrase({"safety", "record"}).docs.size());
 
-  platform::SentimentQueryService service(&restored);
+  platform::SentimentQueryService service(&cluster);
   WF_CHECK_OK(service.RegisterService());
   for (const corpus::Product& p : petro.domain->products) {
     platform::SentimentQueryResult r = service.Query(p.name, 2);
@@ -113,6 +119,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nVinci bus services: %zu registered\n",
-              restored.bus().Services().size());
+              cluster.bus().Services().size());
   return 0;
 }

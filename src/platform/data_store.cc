@@ -79,12 +79,8 @@ std::vector<std::string> DataStore::Ids() const {
 
 common::Status DataStore::Save(const std::string& path,
                                common::StorageFaultInjector* injector) const {
-  // Length-prefixed canonical text records (Entity::Serialize) under the
-  // checksummed snapshot envelope, written temp-then-rename. Records
-  // stream from the merged sorted sweep, so the payload is a pure function
-  // of the store's logical contents: a shard rebuilt from segments + WAL
-  // replay saves the same bytes as the shard that never crashed, whatever
-  // their segment layouts look like.
+  // Length-prefixed canonical text records (Entity::Serialize), in the
+  // merged sorted sweep's order.
   std::ostringstream payload;
   WF_RETURN_IF_ERROR(lsm_.ForEachSorted(
       [&payload](const std::string&, const std::string& record) {
@@ -95,41 +91,6 @@ common::Status DataStore::Save(const std::string& path,
       }));
   return common::WriteSnapshotFile(path, common::kSnapKindStore,
                                    /*version=*/1, payload.str(), injector);
-}
-
-common::Status DataStore::Load(const std::string& path) {
-  if (lsm_.segmented()) {
-    return Status::FailedPrecondition(
-        "segment-mode store loads from its manifest, not a snapshot");
-  }
-  auto payload_or = common::ReadSnapshotFile(path, common::kSnapKindStore,
-                                             /*version=*/1);
-  if (!payload_or.ok()) return payload_or.status();
-  std::istringstream in(payload_or.value());
-  std::vector<Entity> loaded;
-  std::string size_line;
-  while (std::getline(in, size_line)) {
-    if (size_line.empty()) continue;
-    size_t n = 0;
-    try {
-      n = std::stoull(size_line);
-    } catch (...) {
-      return Status::Corruption("bad record size in " + path);
-    }
-    std::string record(n, '\0');
-    in.read(record.data(), static_cast<std::streamsize>(n));
-    if (static_cast<size_t>(in.gcount()) != n) {
-      return Status::Corruption("truncated record in " + path);
-    }
-    auto entity = Entity::Deserialize(record);
-    if (!entity.ok()) return entity.status();
-    loaded.push_back(std::move(entity).value());
-  }
-  WF_RETURN_IF_ERROR(lsm_.ClearEphemeral());
-  for (const Entity& entity : loaded) {
-    WF_RETURN_IF_ERROR(lsm_.Put(entity.id(), entity.EncodeRecord()));
-  }
-  return Status::Ok();
 }
 
 }  // namespace wf::platform

@@ -21,9 +21,10 @@ namespace wf::platform {
 // records (Entity::EncodeRecord) keyed by id in a memtable over immutable
 // sorted segment files (DESIGN.md §13). By default the tree is ephemeral
 // (pure in-memory); EnableSegments switches on the durable tiers, after
-// which a full memtable flushes to a segment automatically
-// and Flush() is the checkpoint operation. Reads and sweeps merge the
-// tiers newest-first, so callers never see the difference.
+// which a full memtable flushes to a segment automatically and Flush() is
+// the checkpoint operation, and EnableSegments on a directory is the one
+// restore path. Reads resolve a key newest tier first, so callers never
+// see the difference.
 class DataStore {
  public:
   DataStore() = default;
@@ -63,8 +64,10 @@ class DataStore {
   bool Contains(const std::string& id) const;
   common::Status Delete(const std::string& id);
 
-  // Applies `fn` to the stored entity under the store lock (the way miners
-  // augment entities in place). NotFound when absent.
+  // Applies `fn` to the stored entity under the store lock, so the
+  // read-modify-write is atomic (DuplicateDetectionMiner::Run relies on
+  // it).
+  // NotFound when absent.
   common::Status Update(const std::string& id,
                         const std::function<void(Entity&)>& fn);
 
@@ -80,17 +83,14 @@ class DataStore {
   // entity record is materialized, whatever the store size.
   std::vector<std::string> Ids() const;
 
-  // Snapshot persistence. Save writes the merged logical image (every
-  // live entity in its canonical text, sorted by id) atomically under the
-  // checksummed `wfsnap store` envelope — a pure function of the store's
-  // contents, so shards
-  // with different segment layouts but equal data save identical bytes.
-  // Load replaces the contents and is ephemeral-mode only
-  // (FailedPrecondition in segment mode, where the manifest owns disk
-  // state); it rejects anything that does not verify with Corruption.
+  // Writes the merged logical image (every live entity in its canonical
+  // text, sorted by id) atomically under the checksummed `wfsnap store`
+  // envelope: a pure function of the store's contents, so shards with
+  // different segment layouts but equal data save identical bytes. The
+  // goldens hash these bytes; nothing reads them back, because segments
+  // are the store's one restore path (EnableSegments).
   common::Status Save(const std::string& path,
                       common::StorageFaultInjector* injector = nullptr) const;
-  common::Status Load(const std::string& path);
 
   // Segment-mode introspection (0 / empty when ephemeral).
   size_t segment_count() const { return lsm_.segment_count(); }

@@ -33,8 +33,9 @@ struct AnnotationSpan {
 //    WAL. An attribute equal to its span's body text is written as a
 //    back-reference, not a copy (DESIGN.md §13).
 //  * Serialize/Deserialize, line-oriented escaped text, is the canonical
-//    form where bytes leave a node or are pinned: DataStore::Save/Load
-//    snapshots and the node/<i>/fetch reply.
+//    form where bytes leave a node or are pinned: the node/<i>/fetch reply
+//    and the DataStore::Save image the goldens hash (nothing reads it
+//    back).
 class Entity {
  public:
   Entity() = default;

@@ -26,6 +26,11 @@ using ::wf::common::StatusCode;
 
 namespace {
 
+// Backoff growth per retry (CallOptions), and the latency quantile a hedge
+// fires at (HedgeOptions): the slowest ~5% of calls are hedged.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kHedgeDelayQuantile = 0.95;
+
 size_t ScatterThreads() {
   size_t hw = std::thread::hardware_concurrency();
   return std::min<size_t>(8, std::max<size_t>(2, hw));
@@ -370,7 +375,7 @@ common::Result<std::string> VinciBus::Call(const std::string& service,
       return Status::DeadlineExceeded("deadline exceeded calling " + service);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    backoff_us *= options.backoff_multiplier;
+    backoff_us *= kBackoffMultiplier;
   }
 }
 
@@ -521,7 +526,7 @@ VinciBus::CallAll(const std::string& prefix, const std::string& request,
     uint64_t delay_us = hedge.default_delay_us;
     bool suspect = false;
     if (health != nullptr) {
-      delay_us = health->LatencyQuantileUs(target, hedge.delay_quantile,
+      delay_us = health->LatencyQuantileUs(target, kHedgeDelayQuantile,
                                            hedge.default_delay_us);
       suspect = health->Suspect(target);
     }
@@ -548,7 +553,7 @@ VinciBus::CallAll(const std::string& prefix, const std::string& request,
     plan.sick_lane = suspect;
     if (predicted_miss) {
       const uint64_t fleet_us = health->FleetLatencyQuantileUs(
-          hedge.delay_quantile, hedge.default_delay_us);
+          kHedgeDelayQuantile, hedge.default_delay_us);
       const uint64_t margin_us = std::clamp(
           static_cast<uint64_t>(hedge.suspect_margin_factor *
                                 static_cast<double>(fleet_us)),

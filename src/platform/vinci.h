@@ -34,12 +34,11 @@ struct CallOptions {
   // Extra attempts after the first, on retryable failures (Unavailable,
   // Corruption). NotFound and circuit-breaker rejections never retry.
   int max_retries = 0;
-  // Exponential backoff between attempts: initial * multiplier^attempt,
-  // capped at max, scaled by jitter in [0.5, 1.5) so synchronized callers
-  // do not retry in lockstep.
+  // Exponential backoff between attempts: initial * 2^attempt, capped at
+  // max, scaled by jitter in [0.5, 1.5) so synchronized callers do not
+  // retry in lockstep.
   uint64_t initial_backoff_us = 100;
   uint64_t max_backoff_us = 10000;
-  double backoff_multiplier = 2.0;
 };
 
 // Tail-tolerance knobs for the hedged CallAll (DESIGN.md §14). A hedge is a
@@ -66,8 +65,6 @@ struct HedgeOptions {
   // Clamp bounds for the computed hedge delay.
   uint64_t min_delay_us = 500;
   uint64_t max_delay_us = 100000;
-  // Which latency quantile to hedge at (0.95 = hedge the slowest ~5%).
-  double delay_quantile = 0.95;
   // A suspect target whose latency EWMA already exceeds the call deadline
   // (a predicted deadline miss — it was going to fail either way) is
   // abandoned (DeadlineExceeded, primary left to finish detached) once it

@@ -1,6 +1,6 @@
 #include "platform/wal.h"
 
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -85,21 +85,21 @@ common::Result<WriteAheadLog::ReplayResult> WriteAheadLog::Replay(
   while (pos < content.size()) {
     size_t nl = content.find('\n', pos);
     if (nl == std::string::npos) break;  // torn frame line
-    std::vector<std::string> parts =
-        common::Split(content.substr(pos, nl - pos), " ");
-    if (parts.size() != 3 || parts[0] != "rec" || parts[2].size() != 16) {
+    std::string_view parts[3];
+    uint64_t len = 0;
+    uint64_t checksum = 0;
+    if (!common::SplitInto(std::string_view(content).substr(pos, nl - pos),
+                           ' ', parts) ||
+        parts[0] != "rec" || parts[2].size() != 16 ||
+        !common::ParseUint64(parts[1], &len) ||
+        !common::ParseUint64(parts[2], &checksum, 16)) {
       break;  // unparseable frame: torn or corrupt tail
     }
-    char* end = nullptr;
-    unsigned long long len = std::strtoull(parts[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') break;
-    unsigned long long checksum = std::strtoull(parts[2].c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') break;
-    size_t payload_at = nl + 1;
-    if (payload_at + len + 1 > content.size()) break;  // payload torn
+    const size_t payload_at = nl + 1;
+    // The payload and its '\n' must fit; written so no length can wrap.
+    if (len >= content.size() - payload_at) break;  // payload torn
     if (content[payload_at + len] != '\n') break;
-    std::string_view payload(content.data() + payload_at,
-                             static_cast<size_t>(len));
+    std::string_view payload(content.data() + payload_at, len);
     if (common::Fnv1a64(payload) != checksum) break;  // bit rot
     result.records.emplace_back(payload);
     pos = payload_at + len + 1;

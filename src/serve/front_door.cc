@@ -22,6 +22,11 @@ namespace {
 // deadline still re-checks its predicate promptly, long enough not to spin.
 constexpr uint64_t kWaitChunkUs = 20000;
 
+// The result cache's lock stripes, and the AIMD steps (AimdOptions).
+constexpr size_t kCacheStripes = 8;
+constexpr double kAimdDecreaseFactor = 0.5;
+constexpr size_t kAimdIncreaseStep = 1;
+
 // Renders a query result to its wire payload — a pure function of the
 // result, so equal results always produce byte-identical payloads (the
 // property coalescing followers and the post-overload acceptance test rely
@@ -58,9 +63,8 @@ FrontDoor::FrontDoor(const platform::SentimentQueryService* service,
     common::MutexLock lock(admit_mu_);
     limit_ = std::max<size_t>(1, options_.max_concurrent);
   }
-  size_t stripes = std::max<size_t>(1, options_.cache_stripes);
-  cache_.reserve(stripes);
-  for (size_t i = 0; i < stripes; ++i) {
+  cache_.reserve(kCacheStripes);
+  for (size_t i = 0; i < kCacheStripes; ++i) {
     cache_.push_back(std::make_unique<CacheStripe>());
   }
 }
@@ -304,12 +308,12 @@ void FrontDoor::Release(uint64_t exec_us, uint64_t e2e_us) {
         // counter is the controller's decision trail, not a change log.
         limit_ = std::clamp(
             static_cast<size_t>(static_cast<double>(limit_) *
-                                aimd.decrease_factor),
+                                kAimdDecreaseFactor),
             floor, ceiling);
         Count("serve/aimd_decrease_total");
       } else {
         // Additive increase: probe for headroom one step at a time.
-        limit_ = std::clamp(limit_ + aimd.increase_step, floor, ceiling);
+        limit_ = std::clamp(limit_ + kAimdIncreaseStep, floor, ceiling);
         Count("serve/aimd_increase_total");
       }
       SetGauge("serve/concurrency_limit", static_cast<int64_t>(limit_));

@@ -47,9 +47,9 @@ struct TokenBucketConfig {
 // AIMD adaptive concurrency (DESIGN.md §14): instead of a hand-tuned fixed
 // `max_concurrent`, the door steers its execution-slot limit by the
 // completion latency it actually observes. Every `window` completions it
-// takes the window's near-p99: above `target_p99_us` the limit is cut
-// multiplicatively (backpressure the moment the backend slows down), at or
-// below it the limit creeps up additively, clamped to
+// takes the window's near-p99: above `target_p99_us` the limit is halved
+// (backpressure the moment the backend slows down), at or below it the
+// limit grows by one, clamped to
 // [min_limit, FrontDoorOptions::max_concurrent]. The decision trail is
 // `serve/concurrency_limit` (gauge), `serve/aimd_increase_total`, and
 // `serve/aimd_decrease_total`. Disabled by default: the limit then stays
@@ -62,8 +62,6 @@ struct AimdOptions {
   size_t min_limit = 1;
   // Completions per controller decision.
   size_t window = 32;
-  size_t increase_step = 1;
-  double decrease_factor = 0.5;
 };
 
 struct FrontDoorOptions {
@@ -86,7 +84,6 @@ struct FrontDoorOptions {
   uint64_t shed_retry_after_us = 50000;
   // Result cache capacity (entries, across all stripes; 0 disables).
   size_t cache_entries = 128;
-  size_t cache_stripes = 8;
   // Quota applied to tenants without an explicit SetTenantQuota override.
   TokenBucketConfig default_quota;
   // max_hits forwarded to SentimentQueryService::Query.

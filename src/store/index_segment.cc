@@ -5,12 +5,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
-#include <optional>
 #include <set>
 
 #include "common/durable_file.h"
 #include "common/string_util.h"
+#include "store/merge.h"
 #include "store/varint.h"
 
 namespace wf::store {
@@ -101,35 +100,6 @@ bool ParseDouble(std::string_view s, double* out) {
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
   return !s.empty() && ec == std::errc() && ptr == end;
-}
-
-// A k-way merge of sorted, duplicate-free sequences: sequence t has
-// sizes[t] keys, key_of(t, i) is its i-th. Calls visit(key, at) once per
-// distinct key, ascending, where at[t] is the key's index in sequence t,
-// or kAbsent when t lacks it.
-constexpr size_t kAbsent = SIZE_MAX;
-
-void MergeSorted(
-    const std::vector<size_t>& sizes,
-    const std::function<std::string_view(size_t, size_t)>& key_of,
-    const std::function<void(std::string_view, std::span<const size_t>)>&
-        visit) {
-  std::vector<size_t> cursor(sizes.size(), 0);
-  std::vector<size_t> at(sizes.size(), kAbsent);
-  for (;;) {
-    std::optional<std::string_view> next;
-    for (size_t t = 0; t < sizes.size(); ++t) {
-      if (cursor[t] == sizes[t]) continue;
-      const std::string_view key = key_of(t, cursor[t]);
-      if (!next.has_value() || key < *next) next = key;
-    }
-    if (!next.has_value()) return;
-    for (size_t t = 0; t < sizes.size(); ++t) {
-      const bool holds = cursor[t] < sizes[t] && key_of(t, cursor[t]) == *next;
-      at[t] = holds ? cursor[t]++ : kAbsent;
-    }
-    visit(*next, at);
-  }
 }
 
 }  // namespace
@@ -460,42 +430,36 @@ common::Status WriteMergedIndexRun(
     remap[t].assign(ndocs[t], kShadowed);
   }
   uint32_t merged = 0;
-  MergeSorted(
+  WF_RETURN_IF_ERROR(MergeSorted(
       ndocs,
       [&inputs](size_t t, size_t i) -> std::string_view {
         return inputs[t]->docs()[i];
       },
-      [&](std::string_view doc, std::span<const size_t> at) {
-        size_t owner = 0;
-        for (size_t t = 0; t < at.size(); ++t) {
-          if (at[t] != kAbsent) owner = t;  // the newest holder
-        }
+      [&](std::string_view doc,
+          std::span<const size_t> at) -> common::Status {
+        const size_t owner = Newest(at);
         remap[owner][at[owner]] = merged++;
         writer.AddDoc(doc);
-      });
+        return common::Status::Ok();
+      }));
 
   // One term at a time: decode each input's block, keep the owners'
   // postings, and restore ordinal order (each input's survivors are
   // already ascending; ordinals are unique across inputs).
-  common::Status status;
   std::vector<IndexRunWriter::Posting> postings;
-  MergeSorted(
+  WF_RETURN_IF_ERROR(MergeSorted(
       nterms,
       [&inputs](size_t t, size_t i) -> std::string_view {
         return inputs[t]->terms()[i].term;
       },
-      [&](std::string_view term, std::span<const size_t> at) {
-        if (!status.ok()) return;
+      [&](std::string_view term,
+          std::span<const size_t> at) -> common::Status {
         std::vector<std::vector<TermPostings>> decoded(inputs.size());
         postings.clear();
         for (size_t t = 0; t < at.size(); ++t) {
           if (at[t] == kAbsent) continue;
-          auto postings_or = inputs[t]->Postings(inputs[t]->terms()[at[t]]);
-          if (!postings_or.ok()) {
-            status = postings_or.status();
-            return;
-          }
-          decoded[t] = std::move(postings_or).value();
+          WF_ASSIGN_OR_RETURN(decoded[t],
+                              inputs[t]->Postings(inputs[t]->terms()[at[t]]));
           for (const TermPostings& p : decoded[t]) {
             const uint32_t ord = remap[t][p.doc_ord];
             if (ord != kShadowed) postings.push_back({ord, p.positions});
@@ -506,8 +470,8 @@ common::Status WriteMergedIndexRun(
                     return a.doc_ord < b.doc_ord;
                   });
         writer.AddTerm(term, postings);
-      });
-  WF_RETURN_IF_ERROR(status);
+        return common::Status::Ok();
+      }));
 
   std::set<std::string> fields;
   for (const std::unique_ptr<IndexSegmentReader>& input : inputs) {

@@ -6,50 +6,42 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/timer.h"
+#include "store/merge.h"
 
 namespace wf::store {
 
 namespace {
 
-// Compaction's merge: a k-way merge across the range, newest (last)
-// input winning each key. Tombstones are dropped only when the range
-// includes the oldest segment: otherwise a yet-older segment may still
-// hold the key, and dropping the tombstone would resurrect it.
+// Compaction's merge: the newest input holding a key wins it. Tombstones
+// are dropped only when the range includes the oldest segment: otherwise a
+// yet-older segment may still hold the key, and dropping the tombstone
+// would resurrect it.
 common::Status WriteMergedSegment(
     std::span<const std::unique_ptr<SegmentReader>> inputs,
     bool includes_oldest, const std::string& path,
     common::StorageFaultInjector* injector) {
-  std::vector<size_t> pos(inputs.size(), 0);
+  std::vector<size_t> sizes;
+  sizes.reserve(inputs.size());
+  for (const auto& input : inputs) sizes.push_back(input->entries().size());
   std::deque<std::string> values;  // stable storage the records view
   std::vector<SegmentRecord> records;
-  for (;;) {
-    const std::string* min_key = nullptr;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (pos[i] >= inputs[i]->entries().size()) continue;
-      const std::string& key = inputs[i]->entries()[pos[i]].key;
-      if (min_key == nullptr || key < *min_key) min_key = &key;
-    }
-    if (min_key == nullptr) break;
-    const std::string& key = *min_key;
-    // Every input holding the key advances; the newest one wins.
-    const SegmentReader* win_reader = nullptr;
-    const SegmentReader::Entry* win_entry = nullptr;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (pos[i] >= inputs[i]->entries().size()) continue;
-      const SegmentReader::Entry& entry = inputs[i]->entries()[pos[i]];
-      if (entry.key != key) continue;
-      win_reader = inputs[i].get();
-      win_entry = &entry;
-      ++pos[i];
-    }
-    if (win_entry->tombstone) {
-      if (!includes_oldest) records.push_back({win_entry->key, {}, true});
-      continue;
-    }
-    WF_ASSIGN_OR_RETURN(std::string value, win_reader->ReadValue(*win_entry));
-    values.push_back(std::move(value));
-    records.push_back({win_entry->key, values.back(), false});
-  }
+  WF_RETURN_IF_ERROR(MergeSorted(
+      sizes,
+      [&inputs](size_t t, size_t i) -> std::string_view {
+        return inputs[t]->entries()[i].key;
+      },
+      [&](std::string_view, std::span<const size_t> at) -> common::Status {
+        const size_t t = Newest(at);
+        const SegmentReader::Entry& entry = inputs[t]->entries()[at[t]];
+        if (entry.tombstone) {
+          if (!includes_oldest) records.push_back({entry.key, {}, true});
+          return common::Status::Ok();
+        }
+        WF_ASSIGN_OR_RETURN(std::string value, inputs[t]->ReadValue(entry));
+        values.push_back(std::move(value));
+        records.push_back({entry.key, values.back(), false});
+        return common::Status::Ok();
+      }));
   return WriteSegmentFile(path, records, injector);
 }
 
@@ -89,7 +81,13 @@ common::Status LsmTree::OpenSegments(const std::string& dir,
   WF_RETURN_IF_ERROR(
       segments_.Open(dir, base, options.compaction_fanout, injector));
   options_ = options;
-  live_count_ = CountLiveLocked();
+  size_t live = 0;
+  WF_CHECK_OK(ForEachMergedLocked(
+      /*need_values=*/false, [&live](const std::string&, const std::string*) {
+        ++live;
+        return common::Status::Ok();
+      }));
+  live_count_ = live;
   UpdateGaugesLocked();
   return common::Status::Ok();
 }
@@ -101,109 +99,52 @@ bool LsmTree::segmented() const {
 
 common::Status LsmTree::Put(std::string_view key, std::string_view value) {
   common::MutexLock lock(mu_);
-  size_t tiers = 0;
-  if (PresenceLocked(key, &tiers) != Presence::kLive) ++live_count_;
+  if (!FindLocked(key).live()) ++live_count_;
   mem_.Set(key, value);
-  common::Status flushed = MaybeFlushLocked();
-  UpdateGaugesLocked();
-  return flushed;
+  return MaybeFlushLocked();
 }
 
 common::Status LsmTree::Insert(std::string_view key, std::string_view value) {
   common::MutexLock lock(mu_);
-  size_t tiers = 0;
-  if (PresenceLocked(key, &tiers) == Presence::kLive) {
+  if (FindLocked(key).live()) {
     return common::Status::AlreadyExists("key exists: " + std::string(key));
   }
   mem_.Set(key, value);
   ++live_count_;
-  common::Status flushed = MaybeFlushLocked();
-  UpdateGaugesLocked();
-  return flushed;
+  return MaybeFlushLocked();
 }
 
 common::Status LsmTree::Delete(std::string_view key) {
   common::MutexLock lock(mu_);
-  size_t tiers = 0;
-  if (PresenceLocked(key, &tiers) != Presence::kLive) {
+  if (!FindLocked(key).live()) {
     return common::Status::NotFound("no such key: " + std::string(key));
   }
   mem_.Remove(key);
   --live_count_;
-  common::Status flushed = MaybeFlushLocked();
-  UpdateGaugesLocked();
-  return flushed;
+  return MaybeFlushLocked();
 }
 
 common::Status LsmTree::Update(
     std::string_view key,
     const std::function<common::Status(std::string*)>& fn) {
   common::MutexLock lock(mu_);
-  std::string value;
-  const Memtable::Entry* mem_entry = mem_.Find(key);
-  if (mem_entry != nullptr) {
-    if (mem_entry->tombstone) {
-      return common::Status::NotFound("no such key: " + std::string(key));
-    }
-    value = mem_entry->value;
-  } else {
-    bool found = false;
-    for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
-         ++it) {
-      if (!BloomPassLocked(**it, key)) continue;
-      const SegmentReader::Entry* entry = (*it)->Find(key);
-      if (entry == nullptr) continue;
-      if (entry->tombstone) {
-        return common::Status::NotFound("no such key: " + std::string(key));
-      }
-      WF_ASSIGN_OR_RETURN(value, (*it)->ReadValue(*entry));
-      found = true;
-      break;
-    }
-    if (!found) {
-      return common::Status::NotFound("no such key: " + std::string(key));
-    }
-  }
+  WF_ASSIGN_OR_RETURN(std::string value, ValueLocked(key, FindLocked(key)));
   WF_RETURN_IF_ERROR(fn(&value));
   mem_.Set(key, value);
-  common::Status flushed = MaybeFlushLocked();
-  UpdateGaugesLocked();
-  return flushed;
+  return MaybeFlushLocked();
 }
 
 common::Result<std::string> LsmTree::Get(std::string_view key) const {
   common::MutexLock lock(mu_);
+  const Found found = FindLocked(key);
   if (m_.gets != nullptr) m_.gets->Add();
-  size_t tiers = 0;
-  const Memtable::Entry* mem_entry = mem_.Find(key);
-  ++tiers;
-  if (mem_entry != nullptr) {
-    if (m_.read_tiers != nullptr) m_.read_tiers->Add(tiers);
-    if (mem_entry->tombstone) {
-      return common::Status::NotFound("no such key: " + std::string(key));
-    }
-    return mem_entry->value;
-  }
-  for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
-       ++it) {
-    ++tiers;
-    if (!BloomPassLocked(**it, key)) continue;
-    const SegmentReader::Entry* entry = (*it)->Find(key);
-    if (entry == nullptr) continue;
-    if (m_.read_tiers != nullptr) m_.read_tiers->Add(tiers);
-    if (entry->tombstone) {
-      return common::Status::NotFound("no such key: " + std::string(key));
-    }
-    return (*it)->ReadValue(*entry);
-  }
-  if (m_.read_tiers != nullptr) m_.read_tiers->Add(tiers);
-  return common::Status::NotFound("no such key: " + std::string(key));
+  if (m_.read_tiers != nullptr) m_.read_tiers->Add(found.tiers);
+  return ValueLocked(key, found);
 }
 
 bool LsmTree::Contains(std::string_view key) const {
   common::MutexLock lock(mu_);
-  size_t tiers = 0;
-  return PresenceLocked(key, &tiers) == Presence::kLive;
+  return FindLocked(key).live();
 }
 
 common::Status LsmTree::ForEachSorted(
@@ -246,18 +187,6 @@ common::Status LsmTree::Flush() {
   return compacted;
 }
 
-common::Status LsmTree::ClearEphemeral() {
-  common::MutexLock lock(mu_);
-  if (segments_.is_open()) {
-    return common::Status::FailedPrecondition(
-        "segment-mode tree cannot be cleared in memory");
-  }
-  mem_.Clear();
-  live_count_ = 0;
-  UpdateGaugesLocked();
-  return common::Status::Ok();
-}
-
 uint64_t LsmTree::memtable_bytes() const {
   common::MutexLock lock(mu_);
   return mem_.approx_bytes();
@@ -280,41 +209,46 @@ uint64_t LsmTree::compactions() const {
 
 // --- Locked internals -------------------------------------------------------
 
-LsmTree::Presence LsmTree::PresenceLocked(std::string_view key,
-                                          size_t* tiers_examined) const {
-  *tiers_examined = 1;
-  const Memtable::Entry* mem_entry = mem_.Find(key);
-  if (mem_entry != nullptr) {
-    return mem_entry->tombstone ? Presence::kTombstoned : Presence::kLive;
+LsmTree::Found LsmTree::FindLocked(std::string_view key) const {
+  Found found;
+  found.tiers = 1;
+  found.mem = mem_.Find(key);
+  if (found.mem != nullptr) return found;
+  const std::vector<std::unique_ptr<SegmentReader>>& runs = segments_.runs();
+  for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
+    ++found.tiers;
+    if (!(*it)->MayContain(key)) {
+      if (m_.bloom_hits != nullptr) m_.bloom_hits->Add();
+      continue;
+    }
+    if (m_.bloom_misses != nullptr) m_.bloom_misses->Add();
+    found.entry = (*it)->Find(key);
+    if (found.entry != nullptr) {
+      found.segment = it->get();
+      return found;
+    }
   }
-  for (auto it = segments_.runs().rbegin(); it != segments_.runs().rend();
-       ++it) {
-    ++*tiers_examined;
-    if (!BloomPassLocked(**it, key)) continue;
-    const SegmentReader::Entry* entry = (*it)->Find(key);
-    if (entry == nullptr) continue;
-    return entry->tombstone ? Presence::kTombstoned : Presence::kLive;
-  }
-  return Presence::kAbsent;
+  return found;
 }
 
-bool LsmTree::BloomPassLocked(const SegmentReader& segment,
-                              std::string_view key) const {
-  if (!segment.MayContain(key)) {
-    if (m_.bloom_hits != nullptr) m_.bloom_hits->Add();
-    return false;
+common::Result<std::string> LsmTree::ValueLocked(std::string_view key,
+                                                 const Found& found) const {
+  if (!found.live()) {
+    return common::Status::NotFound("no such key: " + std::string(key));
   }
-  if (m_.bloom_misses != nullptr) m_.bloom_misses->Add();
-  return true;
+  if (found.mem != nullptr) return found.mem->value;
+  return found.segment->ReadValue(*found.entry);
 }
 
 common::Status LsmTree::MaybeFlushLocked() {
-  if (!segments_.is_open()) return common::Status::Ok();
-  if (mem_.approx_bytes() < options_.memtable_ceiling_bytes) {
-    return common::Status::Ok();
+  common::Status status;
+  if (segments_.is_open() &&
+      mem_.approx_bytes() >= options_.memtable_ceiling_bytes) {
+    status = FlushLocked();
+    if (status.ok()) status = segments_.Compact(WriteMergedSegment);
   }
-  WF_RETURN_IF_ERROR(FlushLocked());
-  return segments_.Compact(WriteMergedSegment);
+  UpdateGaugesLocked();
+  return status;
 }
 
 common::Status LsmTree::FlushLocked() {
@@ -348,70 +282,39 @@ common::Status LsmTree::ForEachMergedLocked(
     bool need_values,
     const std::function<common::Status(const std::string& key,
                                        const std::string* value)>& fn) const {
-  // One cursor per tier; precedence is memtable first, then segments
-  // newest → oldest. Every cursor holding the minimum key advances, and
-  // the highest-precedence one supplies the record.
+  // The segments oldest → newest, then the memtable: the last sequence
+  // holding a key supplies its record.
   const std::vector<std::unique_ptr<SegmentReader>>& segments =
       segments_.runs();
-  auto mem_it = mem_.entries().begin();
-  std::vector<size_t> seg_pos(segments.size(), 0);
-  for (;;) {
-    const std::string* min_key = nullptr;
-    if (mem_it != mem_.entries().end()) min_key = &mem_it->first;
-    for (size_t i = 0; i < segments.size(); ++i) {
-      if (seg_pos[i] >= segments[i]->entries().size()) continue;
-      const std::string& key = segments[i]->entries()[seg_pos[i]].key;
-      if (min_key == nullptr || key < *min_key) min_key = &key;
-    }
-    if (min_key == nullptr) return common::Status::Ok();
-    const std::string key = *min_key;
-
-    bool tombstone = false;
-    bool from_mem = false;
-    const SegmentReader* win_reader = nullptr;
-    const SegmentReader::Entry* win_entry = nullptr;
-    if (mem_it != mem_.entries().end() && mem_it->first == key) {
-      from_mem = true;
-      tombstone = mem_it->second.tombstone;
-    }
-    // Advance all matching segment cursors; remember the newest match.
-    for (size_t i = 0; i < segments.size(); ++i) {
-      if (seg_pos[i] >= segments[i]->entries().size()) continue;
-      const SegmentReader::Entry& entry =
-          segments[i]->entries()[seg_pos[i]];
-      if (entry.key != key) continue;
-      if (!from_mem) {
-        win_reader = segments[i].get();
-        win_entry = &entry;
-      }
-      ++seg_pos[i];
-    }
-    if (!from_mem && win_entry != nullptr) tombstone = win_entry->tombstone;
-
-    if (!tombstone) {
-      if (!need_values) {
-        WF_RETURN_IF_ERROR(fn(key, nullptr));
-      } else if (from_mem) {
-        WF_RETURN_IF_ERROR(fn(key, &mem_it->second.value));
-      } else {
-        WF_ASSIGN_OR_RETURN(std::string value,
-                            win_reader->ReadValue(*win_entry));
-        WF_RETURN_IF_ERROR(fn(key, &value));
-      }
-    }
-    if (from_mem) ++mem_it;
+  std::vector<const Memtable::Map::value_type*> mem;
+  mem.reserve(mem_.entry_count());
+  for (const auto& entry : mem_.entries()) mem.push_back(&entry);
+  std::vector<size_t> sizes;
+  sizes.reserve(segments.size() + 1);
+  for (const auto& segment : segments) {
+    sizes.push_back(segment->entries().size());
   }
-}
-
-size_t LsmTree::CountLiveLocked() const {
-  size_t live = 0;
-  WF_CHECK_OK(ForEachMergedLocked(
-      /*need_values=*/false,
-      [&live](const std::string&, const std::string*) {
-        ++live;
-        return common::Status::Ok();
-      }));
-  return live;
+  sizes.push_back(mem.size());
+  const size_t mem_seq = segments.size();
+  return MergeSorted(
+      sizes,
+      [&](size_t t, size_t i) -> std::string_view {
+        return t == mem_seq ? mem[i]->first : segments[t]->entries()[i].key;
+      },
+      [&](std::string_view, std::span<const size_t> at) -> common::Status {
+        const size_t t = Newest(at);
+        if (t == mem_seq) {
+          const auto& [key, entry] = *mem[at[t]];
+          if (entry.tombstone) return common::Status::Ok();
+          return fn(key, need_values ? &entry.value : nullptr);
+        }
+        const SegmentReader::Entry& entry = segments[t]->entries()[at[t]];
+        if (entry.tombstone) return common::Status::Ok();
+        if (!need_values) return fn(entry.key, nullptr);
+        WF_ASSIGN_OR_RETURN(std::string value,
+                            segments[t]->ReadValue(entry));
+        return fn(entry.key, &value);
+      });
 }
 
 void LsmTree::UpdateGaugesLocked() const {

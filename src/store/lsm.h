@@ -29,12 +29,13 @@ struct LsmOptions {
 };
 
 // An LSM-style key/value tree: one mutable memtable (delta tier) over a
-// stack of immutable sorted segment files (frozen tiers). Reads merge the
-// tiers newest-first; deletes are tombstones that shadow older segments
+// stack of immutable sorted segment files (frozen tiers). The newest tier
+// holding a key wins it; deletes are tombstones that shadow older segments
 // until compaction proves no older record survives. The segment files,
 // their manifest, and the commit protocol of flushes and compactions are
-// a SegmentStack; this class adds the memtable, the merged reads, and the
-// k-way key merge compaction runs.
+// a SegmentStack; this class adds the memtable, one point lookup for every
+// read and write, and the merged sweeps and compaction, both MergeSorted
+// (store/merge.h).
 //
 // Without OpenSegments the tree is ephemeral: a plain sorted in-memory
 // map, no files ever touched.
@@ -93,18 +94,24 @@ class LsmTree {
   // when the memtable is empty. FailedPrecondition in ephemeral mode.
   common::Status Flush();
 
-  // Drops all in-memory state. Ephemeral mode only (segment mode would
-  // silently diverge from disk).
-  common::Status ClearEphemeral();
-
   uint64_t memtable_bytes() const;
   size_t segment_count() const;
   uint64_t flushes() const;
   uint64_t compactions() const;
 
  private:
-  // Where a key currently resolves, merged across tiers.
-  enum class Presence { kAbsent, kLive, kTombstoned };
+  // Where a key resolves: its memtable entry, else the newest segment's;
+  // either may be a tombstone, and neither is set when no tier holds it.
+  struct Found {
+    const Memtable::Entry* mem = nullptr;
+    const SegmentReader* segment = nullptr;
+    const SegmentReader::Entry* entry = nullptr;
+    size_t tiers = 0;  // tiers examined, the memtable included
+    bool live() const {
+      if (mem != nullptr) return !mem->tombstone;
+      return entry != nullptr && !entry->tombstone;
+    }
+  };
 
   struct MetricSet {
     obs::Gauge* memtable_bytes = nullptr;
@@ -122,12 +129,15 @@ class LsmTree {
     obs::Histogram* flush_us = nullptr;
   };
 
-  Presence PresenceLocked(std::string_view key,
-                          size_t* tiers_examined) const WF_REQUIRES(mu_);
-  // Consults `segment`'s Bloom filter and bumps the hit/miss counters;
-  // false means the segment cannot contain `key` and Find() may be skipped.
-  bool BloomPassLocked(const SegmentReader& segment,
-                       std::string_view key) const WF_REQUIRES(mu_);
+  // Every point read and write resolves its key here: the memtable, then
+  // the segments newest → oldest, each behind its counted Bloom filter.
+  Found FindLocked(std::string_view key) const WF_REQUIRES(mu_);
+  // The value `found` resolves `key` to; NotFound unless it is live.
+  common::Result<std::string> ValueLocked(std::string_view key,
+                                          const Found& found) const
+      WF_REQUIRES(mu_);
+  // Ends a write: flushes a full memtable and compacts in segment mode,
+  // then refreshes the gauges.
   common::Status MaybeFlushLocked() WF_REQUIRES(mu_);
   common::Status FlushLocked() WF_REQUIRES(mu_);
   common::Status ForEachMergedLocked(
@@ -135,7 +145,6 @@ class LsmTree {
       const std::function<common::Status(const std::string& key,
                                          const std::string* value)>& fn) const
       WF_REQUIRES(mu_);
-  size_t CountLiveLocked() const WF_REQUIRES(mu_);
   void UpdateGaugesLocked() const WF_REQUIRES(mu_);
 
   // Configuration, set before concurrent use (AttachMetrics/OpenSegments).

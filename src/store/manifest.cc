@@ -1,6 +1,6 @@
 #include "store/manifest.h"
 
-#include <cstdlib>
+#include <string_view>
 
 #include "common/durable_file.h"
 #include "common/string_util.h"
@@ -42,33 +42,26 @@ common::Result<ManifestData> LoadManifest(const std::string& path) {
     return CorruptManifest(path, "bad header");
   }
   ManifestData data;
-  char* end = nullptr;
-  {
-    std::vector<std::string> parts = common::Split(lines[1], " ");
-    if (parts.size() != 2 || parts[0] != "next") {
-      return CorruptManifest(path, "bad next-id line");
-    }
-    data.next_segment_id = std::strtoull(parts[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return CorruptManifest(path, "bad next id");
-    }
+  std::string_view next[2];
+  if (!common::SplitInto(lines[1], ' ', next) || next[0] != "next") {
+    return CorruptManifest(path, "bad next-id line");
+  }
+  if (!common::ParseUint64(next[1], &data.next_segment_id)) {
+    return CorruptManifest(path, "bad next id");
   }
   for (size_t i = 2; i < lines.size(); ++i) {
-    std::vector<std::string> parts = common::Split(lines[i], " ");
-    if (parts.size() != 4 || parts[0] != "seg") {
+    std::string_view parts[4];
+    if (!common::SplitInto(lines[i], ' ', parts) || parts[0] != "seg") {
       return CorruptManifest(path, "bad segment line");
     }
     SegmentMeta meta;
-    meta.id = std::strtoull(parts[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    if (!common::ParseUint64(parts[1], &meta.id)) {
       return CorruptManifest(path, "bad segment id");
     }
-    meta.records = std::strtoull(parts[2].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    if (!common::ParseUint64(parts[2], &meta.records)) {
       return CorruptManifest(path, "bad segment record count");
     }
-    meta.bytes = std::strtoull(parts[3].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    if (!common::ParseUint64(parts[3], &meta.bytes)) {
       return CorruptManifest(path, "bad segment byte count");
     }
     if (meta.id >= data.next_segment_id) {

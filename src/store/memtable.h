@@ -2,6 +2,7 @@
 #define WF_STORE_MEMTABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -19,42 +20,27 @@ class Memtable {
     std::string value;
     bool tombstone = false;
   };
+  // Transparent: a lookup takes the caller's view as it is.
+  using Map = std::map<std::string, Entry, std::less<>>;
 
   // Upserts `key`. A tombstoned key written again comes back to life.
   void Set(std::string_view key, std::string_view value) {
-    auto [it, inserted] = entries_.try_emplace(std::string(key));
-    if (!inserted) {
-      approx_bytes_ -= it->second.value.size();
-    } else {
-      approx_bytes_ += key.size() + kEntryOverhead;
-    }
-    it->second.value.assign(value.data(), value.size());
-    it->second.tombstone = false;
-    approx_bytes_ += value.size();
+    Write(key, value, /*tombstone=*/false);
   }
 
   // Records a deletion. The tombstone must survive until compaction can
   // prove no older segment still holds the key, so it occupies an entry.
-  void Remove(std::string_view key) {
-    auto [it, inserted] = entries_.try_emplace(std::string(key));
-    if (!inserted) {
-      approx_bytes_ -= it->second.value.size();
-    } else {
-      approx_bytes_ += key.size() + kEntryOverhead;
-    }
-    it->second.value.clear();
-    it->second.tombstone = true;
-  }
+  void Remove(std::string_view key) { Write(key, {}, /*tombstone=*/true); }
 
   // Null when the key has no memtable entry at all; a returned entry may
   // still be a tombstone (the caller must treat that as "deleted here",
   // shadowing any older segment).
   const Entry* Find(std::string_view key) const {
-    auto it = entries_.find(std::string(key));
+    auto it = entries_.find(key);
     return it == entries_.end() ? nullptr : &it->second;
   }
 
-  const std::map<std::string, Entry>& entries() const { return entries_; }
+  const Map& entries() const { return entries_; }
   size_t entry_count() const { return entries_.size(); }
   uint64_t approx_bytes() const { return approx_bytes_; }
   bool empty() const { return entries_.empty(); }
@@ -67,7 +53,22 @@ class Memtable {
  private:
   static constexpr uint64_t kEntryOverhead = 64;
 
-  std::map<std::string, Entry> entries_;
+  // Looks `key` up as the view it is, so only a key not yet held is copied
+  // into the map.
+  void Write(std::string_view key, std::string_view value, bool tombstone) {
+    auto it = entries_.lower_bound(key);
+    if (it != entries_.end() && it->first == key) {
+      approx_bytes_ -= it->second.value.size();
+    } else {
+      it = entries_.emplace_hint(it, key, Entry());
+      approx_bytes_ += key.size() + kEntryOverhead;
+    }
+    it->second.value.assign(value.data(), value.size());
+    it->second.tombstone = tombstone;
+    approx_bytes_ += value.size();
+  }
+
+  Map entries_;
   uint64_t approx_bytes_ = 0;
 };
 

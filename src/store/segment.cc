@@ -103,7 +103,8 @@ common::Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
   }
   ++pos;  // past the header newline
 
-  reader->entries_.reserve(count);
+  // A count never exceeds the records (9 bytes at least) the payload holds.
+  reader->entries_.reserve(std::min<uint64_t>(count, body.size() / 9));
   for (uint64_t i = 0; i < count; ++i) {
     const size_t eol = body.find('\n', pos);
     if (eol == std::string_view::npos) {
@@ -121,6 +122,9 @@ common::Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
     uint64_t vallen = 0;
     if (!common::ParseUint64(parts[2], &vallen)) {
       return CorruptSegment(path, "bad value length");
+    }
+    if (parts[3] != "0" && parts[3] != "1") {
+      return CorruptSegment(path, "bad tombstone flag");
     }
     const bool tombstone = parts[3] == "1";
     pos = eol + 1;

@@ -4,7 +4,8 @@
 // arena/interner refactor bought these numbers; this gate keeps them); and
 // how much heap a checkpoint's index freeze and an index compaction take
 // for a while, held to a multiple of the run they write; and how many
-// allocations one store Upsert + Get of a mined page costs.
+// allocations one store Upsert + Get of a mined page costs, and that a
+// memtable lookup of a long key costs none.
 //
 // Not meaningful under sanitizers (interceptors replace operator new), so
 // tests/CMakeLists.txt registers this binary only in plain builds.
@@ -29,6 +30,7 @@
 #include "platform/indexer.h"
 #include "platform/miner_framework.h"
 #include "platform/sentiment_miner_plugin.h"
+#include "store/lsm.h"
 
 namespace wf {
 namespace {
@@ -267,6 +269,32 @@ TEST(AllocGateTest, StoreUpsertAndGetOfAMinedPageStayUnderBudget) {
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(kUpsertGetAllocsCeiling));
   EXPECT_LE(allocs, kUpsertGetAllocsCeiling);
+}
+
+// A point read or an overwrite of a key the memtable holds looks the key
+// up as the view it is given, so it allocates nothing for a key longer
+// than the small-string buffer, and nothing for a short value.
+TEST(AllocGateTest, MemtableLookupsOfALongKeyDoNotAllocate) {
+  const std::string key = "petroleum-web-1234";  // 18 bytes
+  store::LsmTree tree;
+  ASSERT_TRUE(tree.Put(key, "short").ok());
+  const uint64_t contains = CountAllocs([&tree, &key] {
+    ASSERT_TRUE(tree.Contains(key));
+  });
+  const uint64_t get = CountAllocs([&tree, &key] {
+    ASSERT_EQ(tree.Get(key).value(), "short");
+  });
+  const uint64_t put = CountAllocs([&tree, &key] {
+    ASSERT_TRUE(tree.Put(key, "other").ok());
+  });
+  std::printf("memtable allocs: contains %llu, get %llu, put %llu "
+              "(ceiling 0)\n",
+              static_cast<unsigned long long>(contains),
+              static_cast<unsigned long long>(get),
+              static_cast<unsigned long long>(put));
+  EXPECT_EQ(contains, 0u);
+  EXPECT_EQ(get, 0u);
+  EXPECT_EQ(put, 0u);
 }
 
 }  // namespace

@@ -425,6 +425,24 @@ TEST(WalTest, BitFlippedRecordStopsReplayAtTheFlip) {
   EXPECT_TRUE(replay.value().torn_tail);
 }
 
+// A frame line claiming a length near 2^64: the payload cannot fit in the
+// file, so the frame is a torn tail. The bound must not wrap around and
+// let the checksum read far past the end of the log.
+TEST(WalTest, OverlongFrameLengthIsATornTail) {
+  ScopedTempDir dir("wal_overlong");
+  const std::string path = dir.File("a.wal");
+  {
+    // Raw stream on purpose: the test writes the bad frame itself.
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << "wfwal 1\nrec 18446744073709551615 0000000000000000\n";
+  }
+  auto replay = WriteAheadLog::Replay(path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_TRUE(replay.value().records.empty());
+  EXPECT_TRUE(replay.value().torn_tail);
+  EXPECT_EQ(replay.value().valid_bytes, 8u);
+}
+
 // --- ClusterNode durability -------------------------------------------------
 
 TEST(ClusterNodeDurabilityTest, RecoverReplaysWalOnTopOfCheckpoint) {

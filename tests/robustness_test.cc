@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "common/durable_file.h"
@@ -13,7 +12,6 @@
 #include "core/miner.h"
 #include "lexicon/pattern_db.h"
 #include "lexicon/sentiment_lexicon.h"
-#include "platform/data_store.h"
 #include "platform/indexer.h"
 #include "platform/vinci.h"
 #include "store/index_segment.h"
@@ -111,28 +109,6 @@ TEST_F(RobustnessTest, PartialPatternLoadLeavesValidPrefixOnly) {
 }
 
 // --- Store / index corruption --------------------------------------------------------
-
-TEST_F(RobustnessTest, DataStoreLoadCorruptFile) {
-  std::string path = "/tmp/wf_corrupt_store.wfs";
-  {
-    std::ofstream out(path);
-    out << "999999\nid\tshort\n";  // record claims more bytes than exist
-  }
-  platform::DataStore store;
-  EXPECT_EQ(store.Load(path).code(), common::StatusCode::kCorruption);
-  std::filesystem::remove(path);
-}
-
-TEST_F(RobustnessTest, DataStoreLoadGarbageSizeLine) {
-  std::string path = "/tmp/wf_garbage_store.wfs";
-  {
-    std::ofstream out(path);
-    out << "not-a-number\n";
-  }
-  platform::DataStore store;
-  EXPECT_EQ(store.Load(path).code(), common::StatusCode::kCorruption);
-  std::filesystem::remove(path);
-}
 
 TEST_F(RobustnessTest, IndexFreezeReopenRoundTrip) {
   // Segments are the index's one restore path: escaping, positions,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -21,6 +22,7 @@
 #include "platform/data_store.h"
 #include "platform/entity.h"
 #include "platform/indexer.h"
+#include "platform/wal.h"
 #include "obs/metrics.h"
 #include "store/bloom.h"
 #include "store/index_segment.h"
@@ -923,6 +925,120 @@ TEST(SegmentDirTest, TrailingSlashOrDotKeepsCheckpointedRuns) {
   }
 }
 
+// --- on-disk readers at boundary numbers ------------------------------------
+//
+// Every number a reader parses out of a file, set in turn to 0, 1, 2^32,
+// 2^63, 2^64 - 1, 2^64 and two spellings a strict parser refuses. Files
+// with an envelope are rewrapped so the checksum passes and the reader
+// reaches the number. Each open must come back OK or Corruption (the log
+// reads a frame that does not verify as a torn tail), never abort or read
+// out of bounds.
+
+// One file format: its valid numbers, the payload they make, and a read of
+// that payload.
+struct NumberedFormat {
+  std::vector<std::string> names;  // what each number is
+  std::vector<std::string> valid;  // the numbers of a payload that reads OK
+  std::function<std::string(const std::vector<std::string>&)> payload;
+  std::function<common::Status(const std::string& payload)> read;
+};
+
+TEST(DiskReaderTest, BoundaryNumbersReadAsOkOrCorruption) {
+  ScopedTempDir dir("boundary");
+  const std::string path = dir.File("probe");
+  std::string block;  // one posting: doc 0 at position 0
+  for (uint64_t v : {1, 0, 1, 0}) store::PutVarint(v, &block);
+  auto wrapped = [&path](const char* kind, const std::string& payload) {
+    EXPECT_TRUE(common::WriteSnapshotFile(path, kind, 1, payload).ok());
+  };
+
+  const std::vector<NumberedFormat> formats = {
+      {{"store record count", "store key length", "store value length",
+        "store record flag"},
+       {"2", "1", "2", "0"},
+       [](const std::vector<std::string>& n) {
+         return "wfseg 1 " + n[0] + "\nr " + n[1] + " " + n[2] + " " + n[3] +
+                "\nakv\nr 1 0 1\nb\n";
+       },
+       [&](const std::string& payload) {
+         wrapped(common::kSnapKindSegment, payload);
+         return store::SegmentReader::Open(path).status();
+       }},
+      {{"index doc count", "index term count", "index field count",
+        "index block length"},
+       {"1", "1", "1", std::to_string(block.size())},
+       [&block](const std::vector<std::string>& n) {
+         return "wfpost 1 " + n[0] + " " + n[1] + " " + n[2] +
+                "\nd 1 doc\nt term " + n[3] + "\n" + block +
+                "\nf rating 4 0\n";
+       },
+       [&](const std::string& payload) {
+         wrapped(common::kSnapKindIndexSegment, payload);
+         return store::IndexSegmentReader::Open(path).status();
+       }},
+      {{"manifest next id", "manifest segment id",
+        "manifest segment records", "manifest segment bytes"},
+       {"3", "2", "5", "120"},
+       [](const std::vector<std::string>& n) {
+         return "wfman 1\nnext " + n[0] + "\nseg " + n[1] + " " + n[2] + " " +
+                n[3] + "\n";
+       },
+       [&](const std::string& payload) {
+         wrapped(common::kSnapKindManifest, payload);
+         return store::LoadManifest(path).status();
+       }},
+      {{"wal frame length"},
+       {"3"},
+       [](const std::vector<std::string>& n) {
+         return "wfwal 1\nrec " + n[0] + " " +
+                common::StrFormat("%016llx", static_cast<unsigned long long>(
+                                                 common::Fnv1a64("abc"))) +
+                "\nabc\n";
+       },
+       [&path](const std::string& payload) {
+         WriteRaw(path, payload);
+         auto replay = platform::WriteAheadLog::Replay(path);
+         if (!replay.ok()) return replay.status();
+         // A frame that does not verify ends the log as a torn tail.
+         EXPECT_EQ(replay.value().records.size(),
+                   replay.value().torn_tail ? 0u : 1u);
+         return replay.value().torn_tail
+                    ? common::Status::Corruption("torn tail")
+                    : common::Status::Ok();
+       }},
+  };
+  const std::vector<std::string> boundaries = {
+      "0",
+      "1",
+      "4294967296",
+      "9223372036854775808",
+      "18446744073709551615",
+      "18446744073709551616",
+      "-1",
+      "+1"};
+  for (const NumberedFormat& format : formats) {
+    ASSERT_TRUE(format.read(format.payload(format.valid)).ok())
+        << format.names[0];
+    for (size_t i = 0; i < format.valid.size(); ++i) {
+      for (const std::string& number : boundaries) {
+        std::vector<std::string> numbers = format.valid;
+        numbers[i] = number;
+        const common::Status status = format.read(format.payload(numbers));
+        EXPECT_TRUE(status.ok() ||
+                    status.code() == common::StatusCode::kCorruption)
+            << format.names[i] << " = " << number << ": " << status.ToString();
+        if (number == "-1" || number == "+1") {
+          EXPECT_FALSE(status.ok()) << format.names[i] << " = " << number;
+        }
+        if (format.names[i] == "store record flag") {
+          EXPECT_EQ(status.ok(), number == "0" || number == "1")
+              << "flag " << number << ": " << status.ToString();
+        }
+      }
+    }
+  }
+}
+
 // --- segment layout goldens -------------------------------------------------
 //
 // Save writes a layout-free image, so the goldens above cannot see a
@@ -1052,6 +1168,91 @@ TEST(SegmentLayoutTest, IndexRunsMatchGolden) {
             0xa65347af74840999ull);
   EXPECT_GE(tiers.size(), 2u);
   EXPECT_EQ(CheckBytesWritten(metrics, "index", dir.path(), "idx"), 45817u);
+}
+
+// --- point reads and writes -------------------------------------------------
+//
+// Seeded Put/Insert/Delete/Update traffic over a segmented tree, then a Get
+// and a Contains of every key. The answers must match a plain map. The
+// read counters are pinned, so a change to the one tier lookup that alters
+// how many tiers a Get examines, or how many segment probes the Bloom
+// filters settle, fails here.
+TEST(LsmTreeTest, PointOpsMatchAModelAndCountTiersAndBloomProbes) {
+  ScopedTempDir dir("point_ops");
+  LsmOptions opts;
+  opts.memtable_ceiling_bytes = 4 << 10;
+  opts.compaction_fanout = 4;
+  obs::MetricsRegistry metrics;
+  LsmTree tree;
+  tree.AttachMetrics(&metrics, "store");
+  ASSERT_TRUE(tree.OpenSegments(dir.path(), "s", opts, nullptr).ok());
+  constexpr size_t kKeys = 800;
+  // 18-byte ids, past the small-string buffer, as the crawl's ids are.
+  auto key_of = [](size_t k) {
+    return common::StrFormat("petroleum-web-%04zu", k);
+  };
+  std::map<std::string, std::string> model;
+  for (size_t i = 0; i < 3000; ++i) {
+    const std::string key = key_of(Pick("key", i, kKeys));
+    const std::string value =
+        common::StrFormat("v%zu:", i) + std::string(Pick("len", i, 64), 'x');
+    const bool live = model.count(key) > 0;
+    switch (Pick("op", i, 4)) {
+      case 0:
+        ASSERT_TRUE(tree.Put(key, value).ok());
+        model[key] = value;
+        break;
+      case 1:
+        EXPECT_EQ(tree.Insert(key, value).code(),
+                  live ? common::StatusCode::kAlreadyExists
+                       : common::StatusCode::kOk);
+        model.try_emplace(key, value);
+        break;
+      case 2:
+        EXPECT_EQ(tree.Delete(key).code(), live ? common::StatusCode::kOk
+                                                : common::StatusCode::kNotFound);
+        model.erase(key);
+        break;
+      default:
+        EXPECT_EQ(tree.Update(key,
+                              [i](std::string* v) {
+                                *v += common::StrFormat("+%zu", i);
+                                return common::Status::Ok();
+                              })
+                      .code(),
+                  live ? common::StatusCode::kOk
+                       : common::StatusCode::kNotFound);
+        if (live) model[key] += common::StrFormat("+%zu", i);
+        break;
+    }
+  }
+  for (size_t k = 0; k < kKeys; ++k) {
+    const std::string key = key_of(k);
+    auto it = model.find(key);
+    auto got = tree.Get(key);
+    if (it == model.end()) {
+      EXPECT_EQ(got.status().code(), common::StatusCode::kNotFound) << key;
+    } else {
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), it->second) << key;
+    }
+    EXPECT_EQ(tree.Contains(key), it != model.end()) << key;
+  }
+  EXPECT_EQ(Contents(tree), model);
+  std::vector<std::string> keys;
+  tree.ForEachKey([&keys](const std::string& key) { keys.push_back(key); });
+  std::vector<std::string> model_keys;
+  for (const auto& [key, value] : model) model_keys.push_back(key);
+  EXPECT_EQ(keys, model_keys);
+  EXPECT_EQ(tree.size(), model.size());
+
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue("store/gets_total"), kKeys);
+  EXPECT_EQ(snapshot.CounterValue("store/read_tiers_total"), 3612u);
+  EXPECT_EQ(snapshot.CounterValue("store/bloom_hits_total"), 12297u);
+  EXPECT_EQ(snapshot.CounterValue("store/bloom_misses_total"), 1888u);
+  EXPECT_EQ(tree.flushes(), 25u);
+  EXPECT_EQ(tree.compactions(), 7u);
 }
 
 // --- DataStore over segments ------------------------------------------------
