@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
+#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/timer.h"
+#include "store/varint.h"
 #include "text/tokenizer.h"
 
 namespace wf::platform {
@@ -20,6 +21,47 @@ namespace {
 
 using ::wf::common::LowerInto;
 
+// IndexEntity's mark for a token that posts no term.
+constexpr uint32_t kNoTerm = UINT32_MAX;
+
+// The yyyymmdd value of an ISO date, "YYYY-MM" (day 01) or "YYYY-MM-DD"
+// with an optional time after a 'T'; nullopt for anything else.
+std::optional<double> ParseIsoDate(std::string_view date) {
+  auto number = [date](size_t at, size_t digits, int lo, int hi,
+                       int* out) {
+    if (date.size() < at + digits) return false;
+    int value = 0;
+    for (size_t i = at; i < at + digits; ++i) {
+      if (date[i] < '0' || date[i] > '9') return false;
+      value = value * 10 + (date[i] - '0');
+    }
+    *out = value;
+    return value >= lo && value <= hi;
+  };
+  int year = 0;
+  int month = 0;
+  int day = 1;
+  if (!number(0, 4, 0, 9999, &year) || date.size() < 7 || date[4] != '-' ||
+      !number(5, 2, 1, 12, &month)) {
+    return std::nullopt;
+  }
+  if (date.size() > 7 &&
+      (date[7] != '-' || !number(8, 2, 1, 31, &day) ||
+       (date.size() > 10 && date[10] != 'T'))) {
+    return std::nullopt;
+  }
+  return year * 10000.0 + month * 100.0 + day;
+}
+
+// The number `value` spells in full, as strtod reads it; nullopt when it
+// spells none.
+std::optional<double> ParseNumber(const std::string& value) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0') return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
@@ -28,12 +70,14 @@ void InvertedIndex::AttachMetrics(const obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
   frozen_segments_gauge_ = nullptr;
   delta_docs_gauge_ = nullptr;
+  delta_bytes_gauge_ = nullptr;
   freezes_counter_ = nullptr;
   postings_scanned_counter_ = nullptr;
   freeze_us_ = nullptr;
   if (metrics_ == nullptr) return;
   frozen_segments_gauge_ = metrics_->GetGauge("index/frozen_segments");
   delta_docs_gauge_ = metrics_->GetGauge("index/delta_docs");
+  delta_bytes_gauge_ = metrics_->GetGauge("index/delta_bytes");
   freezes_counter_ = metrics_->GetCounter("index/freezes_total");
   postings_scanned_counter_ =
       metrics_->GetCounter("index/postings_scanned_total");
@@ -45,8 +89,7 @@ common::Status InvertedIndex::EnableSegments(
     const std::string& dir, const std::string& base,
     common::StorageFaultInjector* injector, size_t compaction_fanout) {
   common::MutexLock lock(mu_);
-  // Every list entry belongs to an interned doc.
-  if (!docs_.empty()) {
+  if (!delta_.doc_ids.empty()) {
     return common::Status::FailedPrecondition(
         "delta tier must be empty when opening index segments");
   }
@@ -78,57 +121,125 @@ common::Status InvertedIndex::Freeze() {
   return compacted;
 }
 
-template <typename Entry>
-void InvertedIndex::DeltaLists<Entry>::Push(typename Map::iterator list,
-                                            Entry entry) {
-  std::vector<Ref>& refs = forward[entry.doc];
-  entry.slot = static_cast<uint32_t>(refs.size());
-  refs.push_back(Ref{list, static_cast<uint32_t>(list->second.size())});
-  list->second.push_back(entry);
-}
-
-template <typename Entry>
-size_t InvertedIndex::DeltaLists<Entry>::Drop(uint32_t doc) {
-  std::vector<Ref>& refs = forward[doc];
-  for (const Ref& ref : refs) {
-    std::vector<Entry>& list = ref.list->second;
-    if (ref.at + 1 != list.size()) {
-      // Swap-remove: the moved entry may be another of this doc's (a field
-      // can hold several of its values), whose ref is then still ahead.
-      Entry& moved = list[ref.at];
-      moved = std::move(list.back());
-      forward[moved.doc][moved.slot].at = ref.at;
-    }
-    list.pop_back();
-    if (list.empty()) lists.erase(ref.list);
-  }
-  const size_t dropped = refs.size();
-  refs.clear();
-  return dropped;
-}
-
-uint32_t InvertedIndex::InternDoc(const std::string& doc_id) {
-  auto it = doc_ids_.find(doc_id);
-  if (it != doc_ids_.end()) return it->second;
-  uint32_t ord = static_cast<uint32_t>(docs_.size());
-  docs_.push_back(doc_id);
-  doc_ids_.emplace(doc_id, ord);
-  postings_.forward.emplace_back();
-  fields_.forward.emplace_back();
-  positions_.emplace_back();
-  return ord;
-}
-
 void InvertedIndex::CountScanned(size_t entries) {
   if (entries > 0 && postings_scanned_counter_ != nullptr) {
     postings_scanned_counter_->Add(entries);
   }
 }
 
-std::span<const uint32_t> InvertedIndex::PositionsLocked(
-    const Posting& p) const {
-  return std::span<const uint32_t>(positions_[p.doc]).subspan(p.offset,
-                                                              p.count);
+std::pair<InvertedIndex::TermMap::iterator, bool>
+InvertedIndex::FindOrAddTermLocked(const std::string& lower_term) {
+  auto [term, created] = delta_.terms.try_emplace(lower_term);
+  if (!created) return {term, false};
+  if (delta_.free_term_ids.empty()) {
+    term->second.id = static_cast<uint32_t>(delta_.term_by_id.size());
+    delta_.term_by_id.push_back(term);
+    delta_.term_slots.push_back(0);
+  } else {
+    term->second.id = delta_.free_term_ids.back();
+    delta_.free_term_ids.pop_back();
+    delta_.term_by_id[term->second.id] = term;
+  }
+  return {term, true};
+}
+
+void InvertedIndex::AppendLocked(TermBlock& term, uint32_t ord,
+                                 std::span<const uint32_t> positions) {
+  const size_t before = term.bytes.size();
+  store::PutPosting(ord - term.last_doc, positions, &term.bytes);
+  delta_.bytes += term.bytes.size() - before;
+  term.last_doc = ord;
+  ++term.postings;
+  ++term.live;
+  ++delta_.live_postings;
+  store::PutVarint(term.id, &term_list_);
+}
+
+size_t InvertedIndex::RetireLocked(uint32_t ord) {
+  DeltaDoc& doc = delta_.docs[ord];
+  doc.id = nullptr;
+  size_t terms = 0;
+  for (size_t pos = 0; pos < doc.terms.size(); ++terms) {
+    uint64_t id = 0;
+    WF_CHECK(store::GetVarint(doc.terms, &pos, &id));
+    const TermMap::iterator term = delta_.term_by_id[id];
+    --delta_.live_postings;
+    if (--term->second.live > 0) {
+      ++delta_.retired_postings;
+      continue;
+    }
+    // Its last live entry: the term goes, its retired entries with it.
+    delta_.retired_postings -= term->second.postings - 1;
+    delta_.bytes -= term->second.bytes.size();
+    delta_.free_term_ids.push_back(term->second.id);
+    delta_.terms.erase(term);
+  }
+  std::string().swap(doc.terms);
+  return terms;
+}
+
+template <typename Fn>
+void InvertedIndex::ForEachLiveLocked(const TermBlock& block,
+                                      std::vector<uint32_t>* positions,
+                                      Fn&& fn) const {
+  positions->clear();
+  // An entry takes a byte per position and two more, so the buffer never
+  // grows while the block decodes.
+  positions->reserve(block.bytes.size());
+  uint32_t ord = 0;
+  for (size_t pos = 0; pos < block.bytes.size();) {
+    const size_t first = positions->size();
+    uint64_t delta = 0;
+    // The delta wrote these bytes: a decode failure is a logic bug.
+    WF_CHECK(store::GetPosting(block.bytes, &pos, &delta, positions));
+    ord += static_cast<uint32_t>(delta);
+    if (delta_.docs[ord].id == nullptr) continue;  // retired
+    fn(ord, std::span<const uint32_t>(positions->data() + first,
+                                      positions->size() - first));
+  }
+}
+
+size_t InvertedIndex::PurgeLocked() {
+  constexpr uint32_t kRetired = UINT32_MAX;
+  std::vector<uint32_t> remap(delta_.docs.size(), kRetired);
+  uint32_t live = 0;
+  for (uint32_t ord = 0; ord < delta_.docs.size(); ++ord) {
+    if (delta_.docs[ord].id != nullptr) remap[ord] = live++;
+  }
+  // Renumbering in order keeps every block ascending.
+  size_t visited = 0;
+  std::vector<uint32_t> positions;
+  std::string purged;
+  for (auto& [text, term] : delta_.terms) {
+    visited += term.postings;
+    purged.clear();
+    uint32_t last = 0;
+    ForEachLiveLocked(term, &positions,
+                      [&](uint32_t ord, std::span<const uint32_t> at) {
+                        store::PutPosting(remap[ord] - last, at, &purged);
+                        last = remap[ord];
+                      });
+    delta_.bytes -= term.bytes.size() - purged.size();
+    term.bytes.assign(purged);
+    term.bytes.shrink_to_fit();
+    term.postings = term.live;
+    term.last_doc = last;
+  }
+  for (auto& [field, values] : delta_.fields) {
+    visited += values.size();
+    std::erase_if(values, [&remap](const FieldValue& fv) {
+      return remap[fv.doc] == kRetired;
+    });
+    for (FieldValue& fv : values) fv.doc = remap[fv.doc];
+    values.shrink_to_fit();
+  }
+  std::erase_if(delta_.fields,
+                [](const auto& field) { return field.second.empty(); });
+  for (auto& [id, ord] : delta_.doc_ids) ord = remap[ord];
+  std::erase_if(delta_.docs,
+                [](const DeltaDoc& doc) { return doc.id == nullptr; });
+  delta_.retired_postings = 0;
+  return visited;
 }
 
 void InvertedIndex::IndexEntity(const Entity& entity) {
@@ -139,101 +250,93 @@ void InvertedIndex::IndexEntity(const Entity& entity) {
 void InvertedIndex::IndexEntity(const Entity& entity,
                                 const text::TokenStream& tokens) {
   common::MutexLock lock(mu_);
-  // The delta is the newest tier, so this version shadows every frozen one.
-  uint32_t ord = InternDoc(entity.id());
   live_vocabulary_size_.reset();
+  // The delta is the newest tier, so this version shadows every frozen
+  // one, and the doc's previous delta version (a re-index) retires.
+  const uint32_t ord = static_cast<uint32_t>(delta_.docs.size());
+  auto [slot, fresh] = delta_.doc_ids.try_emplace(entity.id(), ord);
+  size_t scanned = fresh ? 0 : RetireLocked(slot->second);
+  slot->second = ord;
+  delta_.docs.emplace_back().id = &slot->first;
 
-  // Drop the doc's previous delta entries (a re-index); a doc new to the
-  // delta has none.
-  size_t scanned = postings_.Drop(ord) + fields_.Drop(ord);
-
-  // Room for a posting per token, trimmed to fit once the doc is in: the
-  // forward list lives as long as the doc stays in the delta.
-  postings_.forward[ord].reserve(tokens.size() +
-                                 entity.concept_tokens().size());
-
-  // Pass 1: one posting per distinct term, counting its positions. This
-  // call's postings sit last in their lists (the doc's old ones are gone),
-  // so a repeated term finds its posting at the back.
-  std::string lower;
-  std::vector<Posting*> posting_at(tokens.size(), nullptr);
+  // Pass 1: each word's term, counting the body's positions per term. A
+  // term the map already held costs a duplicate check.
+  token_terms_.assign(tokens.size(), kNoTerm);
+  doc_terms_.clear();
+  term_list_.clear();
   for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
     if (tokens[pos].kind != text::TokenKind::kWord &&
         tokens[pos].kind != text::TokenKind::kNumber) {
       continue;
     }
-    LowerInto(tokens[pos].text, &lower);
-    auto list = postings_.lists.try_emplace(lower).first;
-    scanned += list->second.empty() ? 0 : 1;
-    if (list->second.empty() || list->second.back().doc != ord) {
-      postings_.Push(list, Posting{.doc = ord});
-    }
-    posting_at[pos] = &list->second.back();
-    ++posting_at[pos]->count;
+    LowerInto(tokens[pos].text, &lower_);
+    const auto [term, created] = FindOrAddTermLocked(lower_);
+    scanned += created ? 0 : 1;
+    const uint32_t term_id = term->second.id;
+    if (delta_.term_slots[term_id]++ == 0) doc_terms_.push_back(term_id);
+    token_terms_[pos] = term_id;
   }
-  // Pass 2: lay the positions out contiguously per posting in the doc's
-  // positions_ array.
+  // Pass 2: lay each term's positions out contiguously, in order of first
+  // appearance, then append one entry per term.
   uint32_t offset = 0;
-  for (const auto& ref : postings_.forward[ord]) {
-    Posting& p = ref.list->second[ref.at];
-    p.offset = offset;
-    offset += p.count;
-    p.count = 0;  // refilled below
+  for (uint32_t term_id : doc_terms_) {
+    const uint32_t count = delta_.term_slots[term_id];
+    delta_.term_slots[term_id] = offset;
+    offset += count;
   }
-  std::vector<uint32_t>& positions = positions_[ord];
-  positions.assign(offset, 0);
+  grouped_.resize(offset);
   for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
-    if (Posting* p = posting_at[pos]) positions[p->offset + p->count++] = pos;
+    if (token_terms_[pos] == kNoTerm) continue;
+    grouped_[delta_.term_slots[token_terms_[pos]]++] = pos;
+  }
+  uint32_t begin = 0;
+  for (uint32_t term_id : doc_terms_) {
+    const uint32_t end = delta_.term_slots[term_id];
+    delta_.term_slots[term_id] = 0;
+    AppendLocked(delta_.term_by_id[term_id]->second, ord,
+                 std::span<const uint32_t>(grouped_).subspan(begin,
+                                                             end - begin));
+    begin = end;
   }
   for (const std::string& concept_token : entity.concept_tokens()) {
-    LowerInto(concept_token, &lower);
-    auto pit = postings_.lists.try_emplace(lower).first;
-    // As above, a duplicate can only be the list's last posting.
-    if (!pit->second.empty()) {
+    LowerInto(concept_token, &lower_);
+    const auto [term, created] = FindOrAddTermLocked(lower_);
+    if (!created) {
       ++scanned;
-      if (pit->second.back().doc == ord) continue;
+      if (term->second.last_doc == ord) continue;  // the doc has one
     }
-    postings_.Push(pit, Posting{.doc = ord});
+    AppendLocked(term->second, ord, {});
   }
-  postings_.forward[ord].shrink_to_fit();
-  CountScanned(scanned);
+  // Copied, not built in place, so the doc's list takes one allocation of
+  // about its size.
+  delta_.docs[ord].terms = term_list_;
 
   // Numeric/date fields feed the range index.
   for (const auto& [field, value] : entity.fields()) {
     if (value.empty()) continue;
-    if (field == "date") {
-      // "YYYY-MM" or "YYYY-MM-DD" -> yyyymmdd (day defaults to 01).
-      std::vector<std::string> parts = common::Split(value, "-");
-      if (parts.size() >= 2) {
-        char* end = nullptr;
-        double y = std::strtod(parts[0].c_str(), &end);
-        double m = std::strtod(parts[1].c_str(), &end);
-        double d = parts.size() >= 3
-                       ? std::strtod(parts[2].c_str(), &end)
-                       : 1.0;
-        AddFieldValueLocked(field, y * 10000 + m * 100 + d, ord);
-        continue;
-      }
-    }
-    char* end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end != nullptr && *end == '\0' && end != value.c_str()) {
-      AddFieldValueLocked(field, v, ord);
-    }
+    const std::optional<double> v =
+        field == "date" ? ParseIsoDate(value) : ParseNumber(value);
+    if (v.has_value()) delta_.fields[field].push_back({*v, ord});
   }
-}
 
-void InvertedIndex::AddFieldValueLocked(const std::string& field,
-                                        double value, uint32_t ord) {
-  fields_.Push(fields_.lists.try_emplace(field).first,
-               FieldValue{.value = value, .doc = ord});
+  // Retired entries, or retired ordinals, outnumber live ones: a purge's
+  // work is then at most twice the retirements it clears.
+  const size_t live_docs = delta_.doc_ids.size();
+  if (delta_.retired_postings > delta_.live_postings ||
+      delta_.docs.size() - live_docs > live_docs) {
+    scanned += PurgeLocked();
+  }
+  CountScanned(scanned);
+  UpdateGaugesLocked();
 }
 
 // --- Tier merging -----------------------------------------------------------
 
 int InvertedIndex::OwnerTierLocked(const std::string& doc_id) const {
   const auto& frozen = frozen_.runs();
-  if (doc_ids_.count(doc_id) > 0) return static_cast<int>(frozen.size());
+  if (delta_.doc_ids.count(doc_id) > 0) {
+    return static_cast<int>(frozen.size());
+  }
   for (int t = static_cast<int>(frozen.size()) - 1; t >= 0; --t) {
     if (frozen[static_cast<size_t>(t)]->FindDoc(doc_id) >= 0) return t;
   }
@@ -268,14 +371,16 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
       acc[doc_id] = std::move(tp.positions);
     }
   }
-  auto it = postings_.lists.find(lower_term);
-  if (it != postings_.lists.end()) {
-    // The delta is the newest tier: it owns every doc it holds. operator[]
-    // records presence even for position-less concept postings.
-    for (const Posting& p : it->second) {
-      const std::span<const uint32_t> positions = PositionsLocked(p);
-      acc[docs_[p.doc]].assign(positions.begin(), positions.end());
-    }
+  auto it = delta_.terms.find(lower_term);
+  if (it != delta_.terms.end()) {
+    // The delta is the newest tier: it owns every live doc it holds.
+    // operator[] records presence even for position-less concept postings.
+    std::vector<uint32_t> positions;
+    ForEachLiveLocked(it->second, &positions,
+                      [&](uint32_t ord, std::span<const uint32_t> at) {
+                        acc[*delta_.docs[ord].id].assign(at.begin(),
+                                                         at.end());
+                      });
   }
   return acc;
 }
@@ -283,8 +388,8 @@ InvertedIndex::MergedPostingsLocked(const std::string& lower_term) const {
 std::vector<std::string> InvertedIndex::MergedVocabularyLocked(
     const std::string& prefix) const {
   std::set<std::string> terms;
-  for (auto it = postings_.lists.lower_bound(prefix);
-       it != postings_.lists.end() && common::StartsWith(it->first, prefix);
+  for (auto it = delta_.terms.lower_bound(prefix);
+       it != delta_.terms.end() && common::StartsWith(it->first, prefix);
        ++it) {
     terms.insert(it->first);
   }
@@ -308,10 +413,10 @@ std::vector<std::string> InvertedIndex::LiveVocabularyLocked(
   const auto& frozen = frozen_.runs();
   std::vector<std::string> out;
   for (std::string& term : MergedVocabularyLocked(prefix)) {
-    // Delta lists are never empty, so a delta term is live. Otherwise its
-    // frozen lists are read newest first, up to the first posting whose
-    // doc that tier owns.
-    bool live = postings_.lists.count(term) > 0;
+    // Every delta term has a live entry, so a delta term is live.
+    // Otherwise its frozen lists are read newest first, up to the first
+    // posting whose doc that tier owns.
+    bool live = delta_.terms.count(term) > 0;
     for (size_t t = frozen.size(); !live && t-- > 0;) {
       const store::IndexSegmentReader::TermEntry* entry =
           frozen[t]->FindTerm(term);
@@ -460,10 +565,13 @@ std::vector<std::string> InvertedIndex::Range(const std::string& field,
       acc.insert(doc_id);
     }
   }
-  auto it = fields_.lists.find(field);
-  if (it != fields_.lists.end()) {
+  auto it = delta_.fields.find(field);
+  if (it != delta_.fields.end()) {
     for (const FieldValue& fv : it->second) {
-      if (fv.value >= lo && fv.value <= hi) acc.insert(docs_[fv.doc]);
+      const std::string* doc_id = delta_.docs[fv.doc].id;
+      if (doc_id != nullptr && fv.value >= lo && fv.value <= hi) {
+        acc.insert(*doc_id);
+      }
     }
   }
   return std::vector<std::string>(acc.begin(), acc.end());
@@ -480,8 +588,9 @@ size_t InvertedIndex::TermFrequency(const std::string& term,
 
 size_t InvertedIndex::document_count() const {
   common::MutexLock lock(mu_);
-  if (frozen_.runs().empty()) return docs_.size();
-  std::set<std::string> ids(docs_.begin(), docs_.end());
+  if (frozen_.runs().empty()) return delta_.doc_ids.size();
+  std::set<std::string> ids;
+  for (const auto& [doc_id, ord] : delta_.doc_ids) ids.insert(doc_id);
   for (const auto& reader : frozen_.runs()) {
     ids.insert(reader->docs().begin(), reader->docs().end());
   }
@@ -490,7 +599,7 @@ size_t InvertedIndex::document_count() const {
 
 size_t InvertedIndex::vocabulary_size() const {
   common::MutexLock lock(mu_);
-  if (frozen_.runs().empty()) return postings_.lists.size();
+  if (frozen_.runs().empty()) return delta_.terms.size();
   // Counting live terms decodes postings term by term, and the node stats
   // service reports the count on every call: keep it until a write.
   if (!live_vocabulary_size_.has_value()) {
@@ -510,51 +619,63 @@ std::vector<std::string> InvertedIndex::VocabularyWithPrefix(
 common::Status InvertedIndex::WriteDeltaRunLocked(
     const std::string& path, common::StorageFaultInjector* injector) const {
   store::IndexRunWriter writer;
-  // Canonical doc table: sorted by id, ordinals remapped accordingly.
-  std::vector<uint32_t> order(docs_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-    return docs_[a] < docs_[b];
-  });
-  std::vector<uint32_t> remap(docs_.size(), 0);
+  // Canonical doc table: the live docs sorted by id, ordinals remapped
+  // accordingly (a retired ordinal is never read). A sweep indexes in
+  // sorted-id order, so the live ordinals usually are in id order already,
+  // and so are each term's remapped entries below.
+  std::vector<uint32_t> order;
+  order.reserve(delta_.doc_ids.size());
+  for (uint32_t ord = 0; ord < delta_.docs.size(); ++ord) {
+    if (delta_.docs[ord].id != nullptr) order.push_back(ord);
+  }
+  auto by_id = [this](uint32_t a, uint32_t b) {
+    return *delta_.docs[a].id < *delta_.docs[b].id;
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_id)) {
+    std::sort(order.begin(), order.end(), by_id);
+  }
+  std::vector<uint32_t> remap(delta_.docs.size(), 0);
   for (uint32_t new_ord = 0; new_ord < order.size(); ++new_ord) {
     remap[order[new_ord]] = new_ord;
-    writer.AddDoc(docs_[order[new_ord]]);
+    writer.AddDoc(*delta_.docs[order[new_ord]].id);
   }
-  // Each list, ordered by remapped ordinal in one reused scratch vector;
-  // the positions are encoded straight from positions_.
+  // Each block decodes into one reused scratch buffer.
+  std::vector<uint32_t> positions;
   std::vector<store::IndexRunWriter::Posting> postings;
-  for (const auto& [term, list] : postings_.lists) {
+  auto by_ordinal = [](const auto& a, const auto& b) {
+    return a.doc_ord < b.doc_ord;
+  };
+  for (const auto& [term, block] : delta_.terms) {
     postings.clear();
-    for (const Posting& p : list) {
-      postings.push_back({remap[p.doc], PositionsLocked(p)});
+    ForEachLiveLocked(block, &positions,
+                      [&](uint32_t ord, std::span<const uint32_t> at) {
+                        postings.push_back({remap[ord], at});
+                      });
+    if (!std::is_sorted(postings.begin(), postings.end(), by_ordinal)) {
+      std::sort(postings.begin(), postings.end(), by_ordinal);
     }
-    std::sort(postings.begin(), postings.end(),
-              [](const auto& a, const auto& b) {
-                return a.doc_ord < b.doc_ord;
-              });
     writer.AddTerm(term, postings);
   }
   std::vector<store::FieldValueEntry> values;
-  for (const auto& [field, list] : fields_.lists) {
+  for (const auto& [field, list] : delta_.fields) {
     // IndexEntity gives a doc one value per field, so ordinal order is
     // canonical.
     values.clear();
     for (const FieldValue& fv : list) {
-      values.push_back({fv.value, remap[fv.doc]});
+      if (delta_.docs[fv.doc].id != nullptr) {
+        values.push_back({fv.value, remap[fv.doc]});
+      }
     }
-    std::sort(values.begin(), values.end(),
-              [](const store::FieldValueEntry& a,
-                 const store::FieldValueEntry& b) {
-                return a.doc_ord < b.doc_ord;
-              });
+    if (!std::is_sorted(values.begin(), values.end(), by_ordinal)) {
+      std::sort(values.begin(), values.end(), by_ordinal);
+    }
     writer.AddField(field, values);
   }
   return writer.WriteTo(path, injector);
 }
 
 common::Status InvertedIndex::FreezeLocked() {
-  if (docs_.empty()) return common::Status::Ok();
+  if (delta_.doc_ids.empty()) return common::Status::Ok();
   obs::ScopedTimer timer(freeze_us_);
   // Fail before the manifest swap commits the segment and the delta tier
   // (and the WAL above us) still holds everything: nothing is lost.
@@ -563,11 +684,9 @@ common::Status InvertedIndex::FreezeLocked() {
           WF_NO_THREAD_SAFETY_ANALYSIS {
             return WriteDeltaRunLocked(path, injector);
           }));
-  docs_.clear();
-  doc_ids_.clear();
-  postings_ = {};
-  fields_ = {};
-  positions_.clear();
+  // A fresh Delta, move-assigned, hands every container's storage back; a
+  // clear() would keep the capacity.
+  delta_ = Delta();
   if (freezes_counter_ != nullptr) freezes_counter_->Add();
   return common::Status::Ok();
 }
@@ -577,7 +696,10 @@ void InvertedIndex::UpdateGaugesLocked() const {
     frozen_segments_gauge_->Set(static_cast<int64_t>(frozen_.runs().size()));
   }
   if (delta_docs_gauge_ != nullptr) {
-    delta_docs_gauge_->Set(static_cast<int64_t>(docs_.size()));
+    delta_docs_gauge_->Set(static_cast<int64_t>(delta_.doc_ids.size()));
+  }
+  if (delta_bytes_gauge_ != nullptr) {
+    delta_bytes_gauge_->Set(static_cast<int64_t>(delta_.bytes));
   }
 }
 
@@ -595,7 +717,8 @@ common::Status InvertedIndex::Save(
   // Written atomically under the checksummed `wfsnap index` envelope.
   std::ostringstream out;
   out << "wfidx 1\n";
-  std::set<std::string> doc_set(docs_.begin(), docs_.end());
+  std::set<std::string> doc_set;
+  for (const auto& [doc_id, ord] : delta_.doc_ids) doc_set.insert(doc_id);
   for (const auto& reader : frozen) {
     doc_set.insert(reader->docs().begin(), reader->docs().end());
   }
@@ -623,7 +746,7 @@ common::Status InvertedIndex::Save(
     out << "\n";
   }
   std::set<std::string> field_names;
-  for (const auto& [field, values] : fields_.lists) field_names.insert(field);
+  for (const auto& [field, values] : delta_.fields) field_names.insert(field);
   for (const auto& reader : frozen) {
     for (const auto& [field, entries] : reader->fields()) {
       field_names.insert(field);
@@ -640,10 +763,11 @@ common::Status InvertedIndex::Save(
         entries.emplace(ord_of[doc_id], entry.value);
       }
     }
-    auto it = fields_.lists.find(field);
-    if (it != fields_.lists.end()) {
+    auto it = delta_.fields.find(field);
+    if (it != delta_.fields.end()) {
       for (const FieldValue& fv : it->second) {
-        entries.emplace(ord_of[docs_[fv.doc]], fv.value);
+        const std::string* doc_id = delta_.docs[fv.doc].id;
+        if (doc_id != nullptr) entries.emplace(ord_of[*doc_id], fv.value);
       }
     }
     for (const auto& [ord, value] : entries) {

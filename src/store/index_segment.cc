@@ -37,33 +37,17 @@ common::Status DecodePostingBlock(std::string_view block,
   if (out != nullptr) out->reserve(std::min<uint64_t>(ndocs, block.size()));
   uint64_t ord = 0;
   for (uint64_t i = 0; i < ndocs; ++i) {
+    TermPostings* p = out != nullptr ? &out->emplace_back() : nullptr;
     uint64_t delta = 0;
-    if (!GetVarint(block, &pos, &delta)) {
-      return CorruptIndexSegment(path, "bad posting block ord delta");
+    if (!GetPosting(block, &pos, &delta,
+                    p != nullptr ? &p->positions : nullptr)) {
+      return CorruptIndexSegment(path, "bad posting in block");
     }
-    ord = i == 0 ? delta : ord + delta;
+    ord += delta;
     if (ord >= ndocs_in_segment) {
       return CorruptIndexSegment(path, "bad posting doc ordinal");
     }
-    uint64_t npos = 0;
-    if (!GetVarint(block, &pos, &npos)) {
-      return CorruptIndexSegment(path, "bad posting block position count");
-    }
-    TermPostings* p = nullptr;
-    if (out != nullptr) {
-      p = &out->emplace_back();
-      p->doc_ord = static_cast<uint32_t>(ord);
-      p->positions.reserve(std::min<uint64_t>(npos, block.size()));
-    }
-    uint64_t position = 0;
-    for (uint64_t j = 0; j < npos; ++j) {
-      uint64_t pdelta = 0;
-      if (!GetVarint(block, &pos, &pdelta)) {
-        return CorruptIndexSegment(path, "bad posting block position delta");
-      }
-      position = j == 0 ? pdelta : position + pdelta;
-      if (p != nullptr) p->positions.push_back(static_cast<uint32_t>(position));
-    }
+    if (p != nullptr) p->doc_ord = static_cast<uint32_t>(ord);
   }
   if (pos != block.size()) {
     return CorruptIndexSegment(path, "trailing bytes in posting block");
@@ -184,13 +168,8 @@ void IndexRunWriter::AddTerm(std::string_view term,
       return Fail("index run postings of '" + std::string(term) +
                   "' not in ordinal order");
     }
-    PutVarint(i == 0 ? p.doc_ord : p.doc_ord - postings[i - 1].doc_ord,
-              &block_);
-    PutVarint(p.positions.size(), &block_);
-    for (size_t j = 0; j < p.positions.size(); ++j) {
-      PutVarint(j == 0 ? p.positions[j] : p.positions[j] - p.positions[j - 1],
-                &block_);
-    }
+    PutPosting(i == 0 ? p.doc_ord : p.doc_ord - postings[i - 1].doc_ord,
+               p.positions, &block_);
   }
   std::string count;
   PutVarint(postings.size(), &count);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "store/varint.h"
 
 namespace wf::common {
 class StorageFaultInjector;
@@ -45,6 +46,52 @@ namespace wf::store {
 // The payload is a pure function of the logical content (docs sorted,
 // terms sorted, postings in ordinal order), so equal logical tiers freeze
 // to byte-identical files — the determinism contract of DESIGN.md §13.
+
+// The per-posting codec of a block, shared by the run writer, the run
+// reader and the index's delta tier, which holds its postings in this
+// encoding between checkpoints. A posting is its ordinal's delta from the
+// previous posting's (the ordinal itself for a block's first), its
+// position count, and its positions as deltas (the first as is). Inline:
+// the reader's check at open and the delta's walks call it per posting.
+//
+// Appends one posting to *block.
+inline void PutPosting(uint32_t ord_delta,
+                       std::span<const uint32_t> positions,
+                       std::string* block) {
+  PutVarint(ord_delta, block);
+  PutVarint(positions.size(), block);
+  uint32_t prev = 0;
+  for (uint32_t position : positions) {
+    PutVarint(position - prev, block);
+    prev = position;
+  }
+}
+
+// Reads the posting at *pos, advancing *pos past it: its ordinal delta,
+// and its positions appended to *positions (only checked when null).
+// False when the bytes at *pos do not hold a whole posting.
+inline bool GetPosting(std::string_view block, size_t* pos,
+                       uint64_t* ord_delta, std::vector<uint32_t>* positions) {
+  size_t at = *pos;
+  uint64_t npos = 0;
+  // Every position takes a byte at least.
+  if (!GetVarint(block, &at, ord_delta) || !GetVarint(block, &at, &npos) ||
+      npos > block.size() - at) {
+    return false;
+  }
+  if (positions != nullptr) positions->reserve(positions->size() + npos);
+  uint64_t position = 0;
+  for (uint64_t j = 0; j < npos; ++j) {
+    uint64_t delta = 0;
+    if (!GetVarint(block, &at, &delta)) return false;
+    position += delta;
+    if (positions != nullptr) {
+      positions->push_back(static_cast<uint32_t>(position));
+    }
+  }
+  *pos = at;
+  return true;
+}
 
 struct TermPostings {
   uint32_t doc_ord = 0;

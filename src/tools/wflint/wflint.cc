@@ -464,7 +464,8 @@ void ParseMemberDecl(const std::string& raw, size_t line, ClassModel* cls) {
   static const std::regex kAccessRe(
       R"(^\s*((public|private|protected)\s*:\s*)+)");
   static const std::regex kSkipRe(
-      R"(^(friend|using|typedef|static_assert|template|enum)\b)");
+      R"(^(friend|using|typedef|static_assert|enum)\b)");
+  static const std::regex kClassHeadRe(R"(^(class|struct|union)\b)");
   static const std::regex kMutexTypeRe(
       R"(\b(mutex|shared_mutex|recursive_mutex|Mutex)\b)");
   static const std::regex kExemptRe(
@@ -472,6 +473,16 @@ void ParseMemberDecl(const std::string& raw, size_t line, ClassModel* cls) {
   static const std::regex kImmutableRe(R"(^\s*(const|constexpr|static)\b)");
 
   std::string t = Trim(std::regex_replace(raw, kAccessRe, ""));
+  // A member template declares what follows its parameter list: parse
+  // that, so a function template's annotations reach its definition. A
+  // nested class template's forward declaration declares no member.
+  if (t.compare(0, 8, "template") == 0) {
+    const size_t lt = t.find('<');
+    const size_t past = lt == std::string::npos ? lt : SkipAngles(t, lt);
+    if (past == std::string::npos) return;
+    t = Trim(t.substr(past));
+    if (std::regex_search(t, kClassHeadRe)) return;
+  }
   if (t.empty() || std::regex_search(t, kSkipRe)) return;
 
   std::string guard;

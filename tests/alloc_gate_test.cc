@@ -2,8 +2,9 @@
 // (bench/alloc_hook.h): how many heap allocations one analyzed document
 // costs, with the per-document budget held under a recorded ceiling (the
 // arena/interner refactor bought these numbers; this gate keeps them); and
-// how much heap a checkpoint's index freeze and an index compaction take
-// for a while, held to a multiple of the run they write; and how many
+// how much heap the index delta holds between checkpoints, and a
+// checkpoint's index freeze and an index compaction take for a while, held
+// to a multiple of the run they write; and how many
 // allocations one store Upsert + Get of a mined page costs, and that a
 // memtable lookup of a long key costs none.
 //
@@ -195,6 +196,49 @@ TEST(AllocGateTest, IndexFreezePeakStaysWithinThreeRunBytes) {
                 kRunBytesMultiple);
     EXPECT_LE(static_cast<double>(growth),
               kRunBytesMultiple * static_cast<double>(run_bytes))
+        << n << " pages";
+  }
+}
+
+// Between checkpoints the delta tier holds what the next run will hold, so
+// its heap is held to the same multiple of that run. Re-indexing the same
+// pages twice more before the freeze retires two versions of each; the
+// delta then holds its live entries plus at most as many retired ones, so
+// three passes stay under 2.5x the heap of one.
+constexpr double kReindexedDeltaMultiple = 2.5;
+
+TEST(AllocGateTest, IndexDeltaStaysWithinThreeRunBytes) {
+  const std::vector<platform::Entity> mined = MinedWebPages(8000);
+  for (size_t n : {1000, 8000}) {
+    RunDir dir("delta");
+    platform::InvertedIndex index;
+    ASSERT_TRUE(index.EnableSegments(dir.path(), "idx").ok());
+    const uint64_t before = bench::Heap().live_bytes;
+    for (size_t i = 0; i < n; ++i) index.IndexEntity(mined[i]);
+    const uint64_t one_pass = bench::Heap().live_bytes - before;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < n; ++i) index.IndexEntity(mined[i]);
+    }
+    const uint64_t three_passes = bench::Heap().live_bytes - before;
+    ASSERT_TRUE(index.Freeze().ok());
+    const uint64_t run_bytes = RunBytes(dir.path());
+    ASSERT_EQ(index.frozen_segment_count(), 1u);
+    ASSERT_GT(run_bytes, 0u);
+    std::printf("delta of %zu pages: heap %llu bytes for a %llu-byte run "
+                "(%.2fx, bound %.1fx); after three passes %.2fx one pass "
+                "(bound %.1fx)\n",
+                n, static_cast<unsigned long long>(one_pass),
+                static_cast<unsigned long long>(run_bytes),
+                static_cast<double>(one_pass) / static_cast<double>(run_bytes),
+                kRunBytesMultiple,
+                static_cast<double>(three_passes) /
+                    static_cast<double>(one_pass),
+                kReindexedDeltaMultiple);
+    EXPECT_LE(static_cast<double>(one_pass),
+              kRunBytesMultiple * static_cast<double>(run_bytes))
+        << n << " pages";
+    EXPECT_LE(static_cast<double>(three_passes),
+              kReindexedDeltaMultiple * static_cast<double>(one_pass))
         << n << " pages";
   }
 }

@@ -217,6 +217,27 @@ TEST(IndexRangeTest, NumericFieldsAutoIndexed) {
   EXPECT_TRUE(index.Range("missing", 0, 1).empty());
 }
 
+TEST(IndexRangeTest, OnlyIsoDatesAreRegistered) {
+  InvertedIndex index;
+  index.IndexEntity(Doc("month", "body", "2004-03"));
+  index.IndexEntity(Doc("day", "body", "2004-06-15"));
+  index.IndexEntity(Doc("time", "body", "2004-05-10T12:00"));
+  const std::vector<std::string> malformed = {
+      "2005-xx",    "n/a-n/a",    "2004-13-99", "2004-00",     "2004-06-32",
+      "2004-06-00", "2004-6-15",  "2004",       "20040615",    "2004-06-15x",
+      "2004-06T12", " 2004-06",   "2004-06-",   "2004-06-1.5", "-2004-06"};
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    index.IndexEntity(
+        Doc(common::StrFormat("bad-%02zu", i), "body", malformed[i]));
+  }
+  EXPECT_EQ(index.Range("date", -1e18, 1e18),
+            (std::vector<std::string>{"day", "month", "time"}));
+  EXPECT_EQ(index.Range("date", 20040301, 20040301),
+            (std::vector<std::string>{"month"}));
+  EXPECT_EQ(index.Range("date", 20040510, 20040510),
+            (std::vector<std::string>{"time"}));
+}
+
 TEST(IndexRangeTest, NonNumericFieldsIgnored) {
   InvertedIndex index;
   Entity a = Doc("a", "body");

@@ -361,6 +361,37 @@ TEST(IndexWorkTest, ScannedEntriesPerEntityStayFlatFrom1kTo8k) {
   }
 }
 
+// The delta's gauges follow every write, not only checkpoints: wfstats
+// shows how many docs and how many encoded bytes wait for the next freeze.
+TEST(IndexGaugeTest, DeltaGaugesFollowEveryIndexEntity) {
+  const std::string dir = "/tmp/wf_index_gauge_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::MetricsRegistry metrics;
+  InvertedIndex index;
+  index.AttachMetrics(&metrics);
+  ASSERT_TRUE(index.EnableSegments(dir, "idx").ok());
+  auto gauge = [&metrics](const std::string& name) {
+    return metrics.Snapshot().GaugeValue(name);
+  };
+  auto page = [](size_t i) {
+    Entity e(common::StrFormat("page-%zu", i), "crawl");
+    e.SetBody(common::StrFormat("page %zu reports a strong quarter", i));
+    e.AddConceptToken("sent/+/quarter");
+    return e;
+  };
+  for (size_t i = 0; i < 7; ++i) index.IndexEntity(page(i));
+  EXPECT_EQ(gauge("index/delta_docs"), 7);
+  EXPECT_GT(gauge("index/delta_bytes"), 0);
+  index.IndexEntity(page(3));
+  EXPECT_EQ(gauge("index/delta_docs"), 7);
+  EXPECT_GT(gauge("index/delta_bytes"), 0);
+  ASSERT_TRUE(index.Freeze().ok());
+  EXPECT_EQ(gauge("index/delta_docs"), 0);
+  EXPECT_EQ(gauge("index/delta_bytes"), 0);
+  std::filesystem::remove_all(dir);
+}
+
 // --- VinciBus ----------------------------------------------------------------------
 
 TEST(VinciTest, RegisterAndCall) {

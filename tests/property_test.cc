@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <map>
 #include <set>
+#include <tuple>
 
+#include "common/durable_file.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/analysis.h"
@@ -249,6 +253,125 @@ TEST_F(IndexProperty, PhraseNeverCrossesPunctuation) {
   // only if the '.' does not intervene; the tokenizer emits '.' as a
   // token, so positions differ by 2 and the phrase must miss.
   EXPECT_TRUE(index.Phrase({"alpha", "beta"}).empty());
+}
+
+// --- Inverted index under re-indexing ------------------------------------------------
+
+// A random whole version of entity `id`: a body over `vocab` (now and then
+// empty or upper-cased), concept tokens that may repeat or equal a body
+// word, and numeric, date and non-numeric fields, each present or not.
+platform::Entity RandomVersion(common::Rng& rng, const std::string& id,
+                               const std::vector<std::string>& vocab) {
+  static const std::vector<std::string> kDates = {
+      "2004-03", "2004-06-15", "2005-12-31T08:00", "2005-xx", "n/a"};
+  platform::Entity e(id, "prop");
+  std::string body = RandomDoc(rng, vocab, rng.Index(30));
+  if (rng.Bernoulli(0.2)) body = common::ToUpper(body);
+  e.SetBody(body);
+  const size_t concepts = rng.Index(4);
+  for (size_t c = 0; c < concepts; ++c) {
+    e.AddConceptToken(rng.Bernoulli(0.3) ? rng.Pick(vocab)
+                                         : "sent/" + rng.Pick(vocab));
+  }
+  if (rng.Bernoulli(0.6)) {
+    e.SetField("score", std::to_string(rng.Uniform(0, 100)));
+  }
+  if (rng.Bernoulli(0.5)) e.SetField("date", rng.Pick(kDates));
+  if (rng.Bernoulli(0.2)) e.SetField("url", "http://x/" + rng.Pick(vocab));
+  return e;
+}
+
+// Every answer `got` gives over `terms` and `ids` equals `want`'s, and so
+// do the two indexes' Save bytes (written under `dir`).
+void ExpectSameIndex(const platform::InvertedIndex& want,
+                     const platform::InvertedIndex& got,
+                     const std::vector<std::string>& terms,
+                     const std::vector<std::string>& ids,
+                     const std::string& dir, const std::string& label) {
+  for (const std::string& term : terms) {
+    EXPECT_EQ(got.Term(term), want.Term(term)) << label << " Term " << term;
+    EXPECT_EQ(got.VocabularyWithPrefix(term.substr(0, 1)),
+              want.VocabularyWithPrefix(term.substr(0, 1)))
+        << label << " VocabularyWithPrefix " << term.substr(0, 1);
+    EXPECT_EQ(got.Prefix(term.substr(0, 2)), want.Prefix(term.substr(0, 2)))
+        << label << " Prefix " << term.substr(0, 2);
+    for (const std::string& id : ids) {
+      EXPECT_EQ(got.TermFrequency(term, id), want.TermFrequency(term, id))
+          << label << " TermFrequency " << term << " " << id;
+    }
+  }
+  for (size_t i = 0; i + 1 < terms.size(); ++i) {
+    const std::vector<std::string> phrase = {terms[i], terms[i + 1]};
+    EXPECT_EQ(got.Phrase(phrase), want.Phrase(phrase))
+        << label << " Phrase " << terms[i] << " " << terms[i + 1];
+  }
+  for (const auto& [field, lo, hi] :
+       std::vector<std::tuple<std::string, double, double>>{
+           {"score", 0, 50},
+           {"score", 25, 100},
+           {"date", 20040101, 20041231},
+           {"date", 0, 1e9},
+           {"url", 0, 1e18}}) {
+    EXPECT_EQ(got.Range(field, lo, hi), want.Range(field, lo, hi))
+        << label << " Range " << field << " " << lo << " " << hi;
+  }
+  EXPECT_EQ(got.document_count(), want.document_count()) << label;
+  EXPECT_EQ(got.vocabulary_size(), want.vocabulary_size()) << label;
+  EXPECT_EQ(got.VocabularyWithPrefix(""), want.VocabularyWithPrefix(""))
+      << label;
+  ASSERT_TRUE(want.Save(dir + "/want.idx").ok());
+  ASSERT_TRUE(got.Save(dir + "/got.idx").ok());
+  EXPECT_EQ(common::ReadFileToString(dir + "/got.idx").value(),
+            common::ReadFileToString(dir + "/want.idx").value())
+      << label << " Save bytes";
+}
+
+// Random IndexEntity sequences over a small id pool re-index every doc
+// many times, so the delta retires old versions and purges them again and
+// again. A never-frozen index and a segmented twin that freezes (and
+// compacts) at random points must both answer like a fresh index of each
+// id's last version.
+TEST(IndexReindexProperty, RetiredVersionsNeverShowThroughAnyQuery) {
+  common::Rng rng(1010);
+  std::vector<std::string> vocab;
+  for (int i = 0; i < 12; ++i) vocab.push_back(RandomWord(rng, 5));
+  std::vector<std::string> ids;
+  for (int i = 0; i < 10; ++i) ids.push_back("doc-" + std::to_string(i));
+  std::vector<std::string> terms = vocab;
+  for (const std::string& word : vocab) terms.push_back("sent/" + word);
+  terms.push_back("missing");
+
+  const std::string dir = ::testing::TempDir() + "wf_prop_reindex";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/runs");
+  platform::InvertedIndex plain;
+  platform::InvertedIndex tiered;
+  ASSERT_TRUE(tiered
+                  .EnableSegments(dir + "/runs", "idx", /*injector=*/nullptr,
+                                  /*compaction_fanout=*/2)
+                  .ok());
+  std::map<std::string, platform::Entity> latest;
+  for (int step = 1; step <= 400; ++step) {
+    const std::string& id = rng.Pick(ids);
+    auto it = latest.find(id);
+    // Now and then the same version again.
+    platform::Entity e = it != latest.end() && rng.Bernoulli(0.2)
+                             ? it->second
+                             : RandomVersion(rng, id, vocab);
+    plain.IndexEntity(e);
+    tiered.IndexEntity(e);
+    latest.insert_or_assign(id, std::move(e));
+    if (rng.Bernoulli(0.05)) {
+      ASSERT_TRUE(tiered.Freeze().ok());
+    }
+    if (step % 40 != 0) continue;
+    platform::InvertedIndex fresh;
+    for (const auto& [doc_id, version] : latest) fresh.IndexEntity(version);
+    const std::string label = "step " + std::to_string(step);
+    ExpectSameIndex(fresh, plain, terms, ids, dir, label + " plain");
+    ExpectSameIndex(fresh, tiered, terms, ids, dir, label + " tiered");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- Entity serialization fuzz ---------------------------------------------------------

@@ -755,6 +755,28 @@ TEST(GuardedByTest, CrossFileOutOfLineDefinitionsHonorHeaderAnnotations) {
           << v.message;
     }
   }
+
+  // A member function template's annotation is inherited the same way.
+  EXPECT_EQ(CountRule(LintFiles({{"src/platform/walker.h",
+                                  "#pragma once\n"
+                                  "class Walker {\n"
+                                  " private:\n"
+                                  "  template <typename Fn>\n"
+                                  "  void ForEachLocked(Fn&& fn) const "
+                                  "WF_REQUIRES(mu_);\n"
+                                  "  mutable common::Mutex mu_;\n"
+                                  "  std::vector<int> items_ "
+                                  "WF_GUARDED_BY(mu_);\n"
+                                  "};\n"},
+                                 {"src/platform/walker.cc",
+                                  "#include \"platform/walker.h\"\n"
+                                  "template <typename Fn>\n"
+                                  "void Walker::ForEachLocked(Fn&& fn) const "
+                                  "{\n"
+                                  "  for (int v : items_) fn(v);\n"
+                                  "}\n"}}),
+                      "guarded-by"),
+            0u);
 }
 
 TEST(GuardedByTest, NoThreadSafetyAnalysisOptsAFunctionOut) {
