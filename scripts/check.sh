@@ -75,6 +75,19 @@ assert got == [(1, 1, 0, 1), (10, 10, 2, 4), (100, 100, 32, 4)], got
 print("BENCH_storage.json: (scale, freezes, compactions, runs) %s" % got)
 PY
 
+# E12 answers every subject twice on one cluster, from the offline index
+# and by mining at query time (~35 ms). The two query services must agree
+# on every row, and a "counts differ" row fails the gate.
+step "bench smoke: bench_modeb_latency (offline vs runtime agreement)"
+MODEB_OUT="$(cd "${BENCH_TMP}" && "${ROOT}/build/bench/bench_modeb_latency")"
+if grep -q "counts differ" <<<"${MODEB_OUT}" ||
+   ! grep -q "| yes " <<<"${MODEB_OUT}"; then
+  echo "${MODEB_OUT}"
+  echo "bench_modeb_latency: offline and runtime answers differ" >&2
+  exit 1
+fi
+echo "bench_modeb_latency: $(grep -c '| yes ' <<<"${MODEB_OUT}") rows agree"
+
 step "wflint: src/ + tests/"
 ./build/src/tools/wflint --report build/wflint-report.tsv src tests
 
@@ -142,10 +155,13 @@ if [[ "${WF_CHECK_TSAN:-0}" == "1" ]]; then
   # compares byte fingerprints — racing the arena-backed artifacts across
   # the pool is precisely where a stale-view or unsynchronized-publish bug
   # in the new allocation scheme would surface.
+  # query_fetch_test drives the batched fetch rounds and the scatters
+  # beneath them over the bus's pool, under partitions and deadlines.
   for t in obs_test platform_test platform_miners_test property_test \
            robustness_test chaos_test durability_test storage_test \
            agreement_test integration_test parallel_mining_test \
-           serving_test loadgen_test arena_identity_test common_test; do
+           serving_test loadgen_test arena_identity_test common_test \
+           query_fetch_test; do
     step "TSan: ${t}"
     "./build-tsan/tests/${t}"
   done

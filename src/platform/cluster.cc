@@ -53,6 +53,8 @@ common::Status ClusterNode::RegisterServices(VinciBus* bus) {
           docs = index_.Phrase(words);
         } else if (mode == "prefix") {
           docs = index_.Prefix(term);
+        } else if (mode == "vocabulary") {
+          docs = index_.VocabularyWithPrefix(term);
         } else {
           docs = index_.Term(term);
         }
@@ -70,12 +72,14 @@ common::Status ClusterNode::RegisterServices(VinciBus* bus) {
       }));
   WF_RETURN_IF_ERROR(bus->RegisterService(
       ServiceName("fetch"), [this](const std::string& request) {
-        std::string id = GetMessageField(request, "id");
-        auto entity = store_.Get(id);
-        if (!entity.ok()) {
-          return EncodeMessage({{"error", entity.status().ToString()}});
+        // A search scatter's call carries no id, so it gets an empty reply
+        // without touching the store.
+        std::vector<std::pair<std::string, std::string>> out;
+        for (const std::string& id : GetMessageFields(request, "id")) {
+          auto entity = store_.Get(id);
+          if (entity.ok()) out.emplace_back("entity", entity->Serialize());
         }
-        return EncodeMessage({{"entity", entity->Serialize()}});
+        return EncodeMessage(out);
       }));
   WF_RETURN_IF_ERROR(bus->RegisterService(
       StatsServiceName(), [this](const std::string& request) {
@@ -467,6 +471,11 @@ SearchResult Cluster::SearchPhrase(const std::vector<std::string>& words,
   return TracedSearch("cluster/search_phrase",
                       {{"term", common::Join(words, " ")}, {"mode", "phrase"}},
                       deadline);
+}
+
+SearchResult Cluster::Vocabulary(const std::string& prefix) const {
+  return TracedSearch("cluster/vocabulary",
+                      {{"term", prefix}, {"mode", "vocabulary"}}, Deadline());
 }
 
 ClusterStats Cluster::CollectStats() const {

@@ -31,10 +31,13 @@ namespace wf::platform {
 // One node of the simulated shared-nothing cluster: its own data-store
 // shard, index shard, and miner pipeline. Other components reach it only
 // through its Vinci services:
-//   node/<id>/search   request: term=<t> [mode=term|concept|phrase]
-//                      response: doc=<id> per hit
+//   node/<id>/search   request: term=<t> [mode=term|phrase|prefix|vocabulary]
+//                      response: doc=<id> per hit (mode=vocabulary:
+//                      doc=<term> per index term starting with <t>)
 //   node/<id>/stats    response: entities=<n>, vocabulary=<n>
-//   node/<id>/fetch    request: id=<doc>  response: serialized entity
+//   node/<id>/fetch    request: id=<doc> per entity
+//                      response: entity=<serialized> per id the node
+//                      holds, in request order (no id: empty reply)
 //   wfstats/node/<id>  request: [format=wire|text|json]
 //                      response: node=<id>, format=<f>, stats=<export>
 // (wfstats lives outside the node/ prefix so query scatters never hit it.)
@@ -250,6 +253,11 @@ class Cluster {
                       const Deadline& deadline = Deadline()) const;
   SearchResult SearchPhrase(const std::vector<std::string>& words,
                             const Deadline& deadline = Deadline()) const;
+
+  // Scatter/gather over the nodes' index vocabularies: `docs` holds the
+  // sorted union of the terms starting with `prefix` on every node that
+  // answered, with the same coverage accounting as Search.
+  SearchResult Vocabulary(const std::string& prefix) const;
 
   // Gathers and merges every node's wfstats export (see ClusterStats).
   ClusterStats CollectStats() const;

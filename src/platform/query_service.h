@@ -32,7 +32,9 @@ struct SentimentQueryResult {
   std::vector<SentimentHit> hits;
   size_t nodes_total = 0;      // shards the query scattered to
   size_t nodes_responded = 0;  // shards that answered every search RPC
-  size_t fetch_failures = 0;   // doc fetches that failed after retries
+  // Docs the hit walk reached whose node's fetch call failed after
+  // retries, each counted once; the walk skips them.
+  size_t fetch_failures = 0;
   // True when the caller's deadline expired mid-query and later stages
   // (hit fetches, or the whole scatter) were skipped — the answer is a
   // partial snapshot, never a stalled wait.
@@ -42,6 +44,13 @@ struct SentimentQueryResult {
            !deadline_expired;
   }
 };
+
+// The wire form of a query result, shared by the app/sentiment_query
+// service and the serving front door: subject, doc counts, coverage and
+// complete=0|1, then hit=<doc>\t<+|->\t<sentence> per hit. A pure function
+// of the result, so equal results encode to identical bytes (coalesced
+// front-door followers and cache hits rely on it).
+std::string EncodeQueryResult(const SentimentQueryResult& result);
 
 // The hosted Web-service side of the system: answers real-time sentiment
 // queries about arbitrary subjects from the sentiment index built offline
@@ -59,27 +68,23 @@ class SentimentQueryService {
 
   // Sentiment roll-up plus at most `max_hits` matching sentences for
   // `subject` (case insensitive; multi-word subjects allowed), split
-  // between the polarities with the odd one going to positive. The
-  // remaining `deadline` budget rides both search scatters and every hit
-  // fetch; once it is spent the query stops where it stands
+  // between the polarities with the odd one going to positive. Hits are
+  // fetched in rounds of one multi-id node/<i>/fetch call per node. The
+  // remaining `deadline` budget rides both search scatters and every
+  // fetch call; once it is spent the query stops where it stands
   // (deadline_expired set, remaining fetches skipped) instead of letting
   // downstream calls outlive the caller.
   SentimentQueryResult Query(const std::string& subject, size_t max_hits = 50,
                              const Deadline& deadline = Deadline()) const;
 
-  // Subjects with at least one indexed sentiment, discovered from the
-  // concept-token vocabulary of the nodes that are up (for dashboards).
-  std::vector<std::string> KnownSubjects() const;
+  // Subjects with at least one indexed sentiment, gathered over the bus
+  // from the nodes' concept-token vocabularies (for dashboards). A node
+  // that does not answer is missing from the list; `coverage`, when given,
+  // receives the gather's SearchResult to say so.
+  std::vector<std::string> KnownSubjects(
+      SearchResult* coverage = nullptr) const;
 
  private:
-  std::vector<SentimentHit> FetchHits(const std::string& subject,
-                                      lexicon::Polarity polarity,
-                                      const std::vector<std::string>& docs,
-                                      size_t max_hits,
-                                      const Deadline& deadline,
-                                      size_t* fetch_failures,
-                                      bool* deadline_expired) const;
-
   Cluster* cluster_;
 };
 

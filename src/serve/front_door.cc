@@ -27,33 +27,6 @@ constexpr size_t kCacheStripes = 8;
 constexpr double kAimdDecreaseFactor = 0.5;
 constexpr size_t kAimdIncreaseStep = 1;
 
-// Renders a query result to its wire payload — a pure function of the
-// result, so equal results always produce byte-identical payloads (the
-// property coalescing followers and the post-overload acceptance test rely
-// on). Field set mirrors the app/sentiment_query handler, plus coverage.
-std::string RenderPayload(const platform::SentimentQueryResult& result) {
-  std::vector<std::pair<std::string, std::string>> out;
-  out.emplace_back("subject", result.subject);
-  out.emplace_back("positive_docs",
-                   common::StrFormat("%zu", result.positive_docs));
-  out.emplace_back("negative_docs",
-                   common::StrFormat("%zu", result.negative_docs));
-  out.emplace_back("nodes_total",
-                   common::StrFormat("%zu", result.nodes_total));
-  out.emplace_back("nodes_responded",
-                   common::StrFormat("%zu", result.nodes_responded));
-  out.emplace_back("complete", result.complete() ? "1" : "0");
-  for (const platform::SentimentHit& hit : result.hits) {
-    out.emplace_back(
-        "hit",
-        common::StrFormat(
-            "%s\t%s\t%s", hit.doc_id.c_str(),
-            hit.polarity == lexicon::Polarity::kPositive ? "+" : "-",
-            hit.sentence.c_str()));
-  }
-  return platform::EncodeMessage(out);
-}
-
 }  // namespace
 
 FrontDoor::FrontDoor(const platform::SentimentQueryService* service,
@@ -376,7 +349,7 @@ QueryReply FrontDoor::ExecuteAndPublish(const QueryRequest& request,
   Release(exec_us, reply.queue_wait_us + exec_us);
   if (result.deadline_expired) Count("serve/deadline_expired_results_total");
   reply.status = Status::Ok();
-  reply.payload = RenderPayload(result);
+  reply.payload = platform::EncodeQueryResult(result);
   // Only complete answers are cached: a hit can then never replay bytes
   // degraded by faults or deadline truncation, which is what keeps
   // post-overload responses byte-identical to an unloaded run.

@@ -100,9 +100,9 @@ struct QueryRequest {
 
 struct QueryReply {
   common::Status status = common::Status::Ok();
-  // The rendered sentiment answer (EncodeMessage form, same fields as the
-  // app/sentiment_query handler) — a pure function of the query result, so
-  // identical results render identical bytes.
+  // The rendered sentiment answer (platform::EncodeQueryResult, the bytes
+  // the app/sentiment_query service replies) — a pure function of the
+  // query result, so identical results render identical bytes.
   std::string payload;
   ShedReason shed_reason = ShedReason::kNone;
   // With a shed: when the caller should retry (its backpressure signal).

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 
 #include "common/durable_file.h"
 #include "common/rng.h"
@@ -17,12 +18,14 @@
 #include "platform/cluster.h"
 #include "platform/data_store.h"
 #include "platform/entity.h"
+#include "platform/fault.h"
 #include "platform/indexer.h"
 #include "platform/ingest.h"
 #include "platform/miner_framework.h"
 #include "platform/query_service.h"
 #include "platform/sentiment_miner_plugin.h"
 #include "platform/vinci.h"
+#include "serve/front_door.h"
 
 namespace wf::platform {
 namespace {
@@ -668,6 +671,16 @@ TEST(QueryServiceTest, EndToEndSentimentQuery) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(GetMessageField(*response, "positive_docs"), "1");
 
+  // Its reply is the payload an uncached front door renders.
+  serve::FrontDoorOptions door_options;
+  door_options.cache_entries = 0;
+  serve::FrontDoor door(&service, &cluster, door_options);
+  serve::QueryRequest request;
+  request.subject = "Kodak";
+  serve::QueryReply reply = door.Query(request);
+  ASSERT_TRUE(reply.status.ok());
+  EXPECT_EQ(*response, reply.payload);
+
   // Discovered subjects include kodak.
   std::vector<std::string> subjects = service.KnownSubjects();
   EXPECT_NE(std::find(subjects.begin(), subjects.end(), "kodak"),
@@ -728,6 +741,40 @@ TEST(QueryServiceTest, KnownSubjectsSkipsADownNode) {
   const std::vector<std::string> up = service.KnownSubjects();
   EXPECT_FALSE(up.empty());
   EXPECT_TRUE(std::includes(all.begin(), all.end(), up.begin(), up.end()));
+}
+
+// A node that is up but cut off from the bus is missing from the answer,
+// and the coverage says so. One page per subject, so each node holds only
+// some of the six.
+TEST(QueryServiceTest, KnownSubjectsReportsAPartitionedNode) {
+  const char* const kSubjects[] = {"Kodak", "Sony", "Nikon", "Canon",
+                                   "Olympus", "Pentax"};
+  std::vector<std::pair<std::string, std::string>> docs;
+  std::set<std::string> on_node0;
+  Cluster cluster(2);
+  for (const char* subject : kSubjects) {
+    const std::string id = common::StrFormat("%s-0", subject);
+    if (cluster.Route(id) == 0) on_node0.insert(common::ToLower(subject));
+    docs.emplace_back(id, common::StrFormat("Lawsuits plague %s.", subject));
+  }
+  ASSERT_FALSE(on_node0.empty());
+  ASSERT_LT(on_node0.size(), 6u);
+  MineCluster(&cluster, std::move(docs));
+  SentimentQueryService service(&cluster);
+  SearchResult coverage;
+  ASSERT_EQ(service.KnownSubjects(&coverage).size(), 6u);
+  EXPECT_TRUE(coverage.complete());
+
+  FaultInjector injector(3);
+  injector.Partition("node/1/");
+  cluster.bus().AttachFaultInjector(&injector);
+  const std::vector<std::string> up = service.KnownSubjects(&coverage);
+  cluster.bus().AttachFaultInjector(nullptr);
+  EXPECT_EQ(up, std::vector<std::string>(on_node0.begin(), on_node0.end()));
+  EXPECT_EQ(coverage.nodes_total, 2u);
+  EXPECT_EQ(coverage.nodes_responded, 1u);
+  EXPECT_EQ(coverage.failed_services,
+            std::vector<std::string>{"node/1/search"});
 }
 
 }  // namespace
