@@ -5,9 +5,11 @@
 // first-class here; this bench measures the trade-off and checks that
 // their answers agree.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
@@ -20,6 +22,28 @@
 #include "platform/ingest.h"
 #include "platform/query_service.h"
 #include "platform/sentiment_miner_plugin.h"
+
+namespace {
+
+// Timed repeats per subject and service; a row reports their median.
+constexpr int kRepeats = 9;
+
+// The median wall time of kRepeats calls of `query`, in microseconds.
+template <typename Query>
+double MedianMicros(const Query& query) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> us;
+  for (int i = 0; i < kRepeats; ++i) {
+    const auto t0 = Clock::now();
+    query();
+    us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
+  }
+  std::nth_element(us.begin(), us.begin() + kRepeats / 2, us.end());
+  return us[kRepeats / 2];
+}
+
+}  // namespace
 
 int main() {
   using namespace wf;
@@ -70,15 +94,12 @@ int main() {
   double total_off = 0.0, total_run = 0.0;
   size_t queries = 0;
   for (const corpus::Product& p : pharma.domain->products) {
-    auto q0 = Clock::now();
+    // One untimed call per service gives the answers and warms the
+    // subject's path, so no row times a cold first query.
     platform::SentimentQueryResult a = offline.Query(p.name, 8);
-    auto q1 = Clock::now();
     platform::SentimentQueryResult b = runtime.Query(p.name, 8);
-    auto q2 = Clock::now();
-    double off_us =
-        std::chrono::duration<double, std::micro>(q1 - q0).count();
-    double run_us =
-        std::chrono::duration<double, std::micro>(q2 - q1).count();
+    double off_us = MedianMicros([&] { (void)offline.Query(p.name, 8); });
+    double run_us = MedianMicros([&] { (void)runtime.Query(p.name, 8); });
     total_off += off_us;
     total_run += run_us;
     ++queries;

@@ -124,6 +124,27 @@ cmake --build build-release -j "${JOBS}"
 step "wfbench: build + self-test"
 python3 wfbench/run.py --self-test
 
+# wfbench's traced run replays indexing and store commits over node 0's
+# shard, fetched over node/0/fetch, and silently skips a reply it cannot
+# decode: a fetch reply it no longer reads would zero those per-layer
+# figures and fail nothing above. A one-second traced mine_shard run
+# (~11 s) must stay correct and report both the fetch reply bytes and the
+# replayed index cost.
+step "wfbench: traced mine_shard decodes its fetch replies"
+TRACE_RESULT="$(python3 wfbench/run.py --workload mine_shard --seed 11 \
+  --seconds 1 --trace 1 | tail -n 1)"
+python3 - "${TRACE_RESULT}" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+metrics = result["metrics"]
+fetch = metrics["platform.fetch_reply_bytes"]["value"]
+index = metrics["platform.index_us_per_doc"]["value"]
+assert result["correct"] is True, result
+assert fetch > 0 and index > 0, (fetch, index)
+print("traced mine_shard: correct, fetch reply %.1f B, index %.2f us/doc"
+      % (fetch, index))
+PY
+
 step "ASan+UBSan: build + full suite (ctest -L sanitize)"
 cmake -B build-asan -S . -DWF_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "${JOBS}"

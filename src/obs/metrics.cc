@@ -229,16 +229,6 @@ std::string JoinU64(const std::vector<uint64_t>& values) {
   return out;
 }
 
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
 bool ParseI64(const std::string& s, int64_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -253,7 +243,7 @@ bool ParseU64List(const std::string& s, std::vector<uint64_t>* out) {
   if (s == "-") return true;  // the explicit empty-list marker
   for (const std::string& piece : common::SplitExact(s, ",")) {
     uint64_t v = 0;
-    if (!ParseU64(piece, &v)) return false;
+    if (!common::ParseUint64(piece, &v)) return false;
     out->push_back(v);
   }
   return true;
@@ -297,7 +287,7 @@ common::Result<MetricsSnapshot> MetricsSnapshot::FromWire(
     }
     if (parts[0] == "c" && parts.size() == 3) {
       uint64_t value = 0;
-      if (!ParseU64(parts[2], &value)) return corrupt();
+      if (!common::ParseUint64(parts[2], &value)) return corrupt();
       snap.counters[parts[1]] += value;
     } else if (parts[0] == "g" && parts.size() == 3) {
       int64_t value = 0;
@@ -309,7 +299,7 @@ common::Result<MetricsSnapshot> MetricsSnapshot::FromWire(
       hist.timing = parts[2] == "1";
       if (!ParseU64List(parts[3], &hist.bounds) ||
           !ParseU64List(parts[4], &hist.counts) ||
-          !ParseU64(parts[5], &hist.sum)) {
+          !common::ParseUint64(parts[5], &hist.sum)) {
         return corrupt();
       }
       if (hist.counts.size() != hist.bounds.size() + 1) return corrupt();

@@ -76,8 +76,8 @@ common::Status ClusterNode::RegisterServices(VinciBus* bus) {
         // without touching the store.
         std::vector<std::pair<std::string, std::string>> out;
         for (const std::string& id : GetMessageFields(request, "id")) {
-          auto entity = store_.Get(id);
-          if (entity.ok()) out.emplace_back("entity", entity->Serialize());
+          auto record = store_.GetRecord(id);
+          if (record.ok()) out.emplace_back("entity", std::move(*record));
         }
         return EncodeMessage(out);
       }));
@@ -133,11 +133,14 @@ common::Status ClusterNode::EnableDurability(
 }
 
 common::Status ClusterNode::Ingest(Entity entity) {
+  if (!wal_.is_open()) return store_.Put(entity);
+  common::MutexLock lock(dur_mu_);
+  // The duplicate check holds the lock up to the append: two racing ingests
+  // of one id must not both reach the log, or recovery would replay the
+  // refused record over the acked one.
   if (store_.Contains(entity.id())) {
     return Status::AlreadyExists("entity exists: " + entity.id());
   }
-  if (!wal_.is_open()) return store_.Put(entity);
-  common::MutexLock lock(dur_mu_);
   // Log-then-store: the WAL append is the ack barrier. If it fails the
   // write was never acked, so the store must not accept it either. The
   // log and the store hold the same record, encoded once.

@@ -36,8 +36,9 @@ namespace wf::platform {
 //                      doc=<term> per index term starting with <t>)
 //   node/<id>/stats    response: entities=<n>, vocabulary=<n>
 //   node/<id>/fetch    request: id=<doc> per entity
-//                      response: entity=<serialized> per id the node
-//                      holds, in request order (no id: empty reply)
+//                      response: entity=<record> per id the node holds,
+//                      in request order: the Entity::EncodeRecord bytes
+//                      its store holds (no id: empty reply)
 //   wfstats/node/<id>  request: [format=wire|text|json]
 //                      response: node=<id>, format=<f>, stats=<export>
 // (wfstats lives outside the node/ prefix so query scatters never hit it.)
@@ -213,8 +214,6 @@ class Cluster {
     hedge_ = hedge;
     hedge_.enabled = true;
   }
-  void DisableHedging() { hedge_.enabled = false; }
-  bool hedging_enabled() const { return hedge_.enabled; }
 
   // Shard owning an entity id (stable FNV hash).
   size_t Route(const std::string& entity_id) const {

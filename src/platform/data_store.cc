@@ -32,8 +32,12 @@ common::Status DataStore::Upsert(const Entity& entity) {
   return lsm_.Put(entity.id(), entity.EncodeRecord());
 }
 
+common::Result<std::string> DataStore::GetRecord(const std::string& id) const {
+  return lsm_.Get(id);
+}
+
 common::Result<Entity> DataStore::Get(const std::string& id) const {
-  WF_ASSIGN_OR_RETURN(std::string record, lsm_.Get(id));
+  WF_ASSIGN_OR_RETURN(std::string record, GetRecord(id));
   return Entity::DecodeRecord(record);
 }
 

@@ -59,7 +59,11 @@ class DataStore {
   // Inserts or replaces. The error surface is the segment flush a full
   // memtable triggers — the entity itself is always accepted.
   common::Status Upsert(const Entity& entity);
-  // NotFound when absent.
+  // The record `id` is stored as (Entity::EncodeRecord), undecoded: the
+  // twin of PutRecord, for a caller that ships the record on (a node's
+  // fetch service). NotFound when absent.
+  common::Result<std::string> GetRecord(const std::string& id) const;
+  // GetRecord, decoded. NotFound when absent.
   common::Result<Entity> Get(const std::string& id) const;
   bool Contains(const std::string& id) const;
   common::Status Delete(const std::string& id);

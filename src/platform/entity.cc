@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/string_util.h"
 #include "store/varint.h"
 
 namespace wf::platform {
@@ -92,29 +91,6 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
-std::string Unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      switch (s[i]) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        default:
-          out += s[i];
-      }
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::string& Entity::GetField(const std::string& name) const {
@@ -150,47 +126,6 @@ std::string Entity::Serialize() const {
     out << "concept\t" << Escape(token) << "\n";
   }
   return out.str();
-}
-
-common::Result<Entity> Entity::Deserialize(const std::string& data) {
-  Entity e;
-  std::istringstream in(data);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::vector<std::string> parts = common::SplitExact(line, "\t");
-    const std::string& kind = parts[0];
-    auto bad = [&](const char* why) {
-      return Status::Corruption(common::StrFormat(
-          "entity record line %d: %s", lineno, why));
-    };
-    if (kind == "id" && parts.size() == 2) {
-      e.id_ = Unescape(parts[1]);
-    } else if (kind == "source" && parts.size() == 2) {
-      e.source_ = Unescape(parts[1]);
-    } else if (kind == "field" && parts.size() == 3) {
-      e.fields_[Unescape(parts[1])] = Unescape(parts[2]);
-    } else if (kind == "ann" && parts.size() >= 4) {
-      AnnotationSpan span;
-      span.begin = std::stoull(parts[2]);
-      span.end = std::stoull(parts[3]);
-      for (size_t i = 4; i < parts.size(); ++i) {
-        size_t eq = parts[i].find('=');
-        if (eq == std::string::npos) return bad("attr without '='");
-        span.attrs[Unescape(parts[i].substr(0, eq))] =
-            Unescape(parts[i].substr(eq + 1));
-      }
-      e.annotations_[Unescape(parts[1])].push_back(std::move(span));
-    } else if (kind == "concept" && parts.size() == 2) {
-      e.concept_tokens_.push_back(Unescape(parts[1]));
-    } else {
-      return bad("unknown record kind");
-    }
-  }
-  if (e.id_.empty()) return Status::Corruption("entity without id");
-  return e;
 }
 
 std::string Entity::EncodeRecord() const {

@@ -27,15 +27,13 @@ struct AnnotationSpan {
 // fields plus named annotation layers that miners append to. Conceptual
 // tokens (miner-produced index terms) live in `concept_tokens`.
 //
-// Two encodings, each exact (decoding gives back an equal entity):
-//  * EncodeRecord/DecodeRecord, a varint binary record, is how a node
-//    holds an entity: in its store (memtable and segment runs) and its
-//    WAL. An attribute equal to its span's body text is written as a
-//    back-reference, not a copy (DESIGN.md §13).
-//  * Serialize/Deserialize, line-oriented escaped text, is the canonical
-//    form where bytes leave a node or are pinned: the node/<i>/fetch reply
-//    and the DataStore::Save image the goldens hash (nothing reads it
-//    back).
+// One exact encoding (decoding gives back an equal entity):
+// EncodeRecord/DecodeRecord, a varint binary record, is how a node holds an
+// entity, in its store (memtable and segment runs) and its WAL, and what it
+// ships: the node/<i>/fetch reply carries the stored record as is. An
+// attribute equal to its span's body text is written as a back-reference,
+// not a copy (DESIGN.md §13). Serialize, line-oriented escaped text, is
+// write-only: the DataStore::Save image the goldens hash. Nothing parses it.
 class Entity {
  public:
   Entity() = default;
@@ -76,15 +74,19 @@ class Entity {
     return concept_tokens_;
   }
 
-  // The canonical text form.
+  // The canonical text form, for the DataStore::Save image.
   std::string Serialize() const;
-  static common::Result<Entity> Deserialize(const std::string& data);
 
   // The binary record. DecodeRecord takes exactly what EncodeRecord
   // writes: Corruption for any other format byte, a short or overlong
   // record, keys out of order, or a back-reference past the body.
   std::string EncodeRecord() const;
   static common::Result<Entity> DecodeRecord(std::string_view record);
+  // An alias of DecodeRecord, kept only because wfbench's traced
+  // FetchShard calls it (ROADMAP item 9).
+  static common::Result<Entity> Deserialize(const std::string& data) {
+    return DecodeRecord(data);
+  }
 
   friend bool operator==(const Entity& a, const Entity& b) {
     return a.id_ == b.id_ && a.source_ == b.source_ &&

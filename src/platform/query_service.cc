@@ -122,9 +122,8 @@ void FetchFromNode(const Cluster& cluster, size_t node,
       options);
   for (const std::string& id : ids) (*fetched)[id].failed = !response.ok();
   if (!response.ok()) return;
-  for (const std::string& serialized :
-       GetMessageFields(*response, "entity")) {
-    auto entity = Entity::Deserialize(serialized);
+  for (const std::string& record : GetMessageFields(*response, "entity")) {
+    auto entity = Entity::DecodeRecord(record);
     if (!entity.ok()) continue;
     (*fetched)[entity->id()].hits = MatchingHits(*entity, subject);
   }
@@ -305,7 +304,7 @@ SentimentQueryResult RuntimeSentimentQueryService::Query(
       ++result.fetch_failures;
       continue;
     }
-    auto entity = Entity::Deserialize(GetMessageField(*response, "entity"));
+    auto entity = Entity::DecodeRecord(GetMessageField(*response, "entity"));
     if (!entity.ok()) continue;
     miner.ProcessDocument(doc, *core::AnalyzeDocument(entity->body()),
                           &store);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 
 #include "common/hash.h"
@@ -457,11 +456,17 @@ common::Status FrontDoor::RegisterService() {
         if (platform::GetMessageField(request, "priority") == "batch") {
           query.priority = Priority::kBatch;
         }
+        // A budget that is not an unsigned integer is refused before
+        // admission: no query runs on a budget the caller did not mean.
         std::string budget = platform::GetMessageField(request, "budget_us");
-        if (!budget.empty()) {
-          query.budget_us = std::strtoull(budget.c_str(), nullptr, 10);
+        QueryReply reply;
+        if (!budget.empty() &&
+            !common::ParseUint64(budget, &query.budget_us)) {
+          reply.status = common::Status::InvalidArgument(
+              "budget_us is not an unsigned integer: " + budget);
+        } else {
+          reply = Query(query);
         }
-        QueryReply reply = Query(query);
         std::vector<std::pair<std::string, std::string>> out;
         out.emplace_back("code",
                          common::StrFormat("%d", static_cast<int>(

@@ -29,9 +29,6 @@ struct Token {
   size_t end = 0;
   TokenKind kind = TokenKind::kWord;
 
-  bool IsWord() const { return kind == TokenKind::kWord; }
-  bool IsPunct() const { return kind == TokenKind::kPunct; }
-
   friend bool operator==(const Token& a, const Token& b) {
     return a.text == b.text && a.begin == b.begin && a.end == b.end &&
            a.kind == b.kind;

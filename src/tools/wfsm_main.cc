@@ -161,7 +161,14 @@ int CmdFeatures(std::vector<std::string> args) {
     return 2;
   }
   feature::FeatureExtractor::Options options;
-  if (!top.empty()) options.top_n = std::stoul(top);
+  uint64_t top_n = options.top_n;
+  if (!top.empty() && !common::ParseUint64(top, &top_n)) {
+    std::fprintf(stderr,
+                 "features: --top wants a non-negative integer, got '%s'\n",
+                 top.c_str());
+    return 2;
+  }
+  options.top_n = top_n;
   feature::FeatureExtractor extractor(options);
 
   auto feed = [&extractor](const std::string& path, bool on_topic) -> bool {

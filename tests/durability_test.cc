@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -537,6 +539,50 @@ TEST(ClusterNodeDurabilityTest, AutoCheckpointEveryNAppends) {
   auto last = Entity::DecodeRecord(replay.value().records[0]);
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(last.value().id(), "e4");
+}
+
+// Two ingests of one id race from two threads: exactly one is acked, only
+// its record reaches the WAL, and a restart recovers the acked body, never
+// the refused one.
+TEST(ClusterNodeDurabilityTest, RacingDuplicateIngestLogsOnlyTheAckedRecord) {
+  for (int trial = 0; trial < 200; ++trial) {
+    ScopedTempDir dir("racing_duplicate");
+    const std::string bodies[2] = {"first body", "second body"};
+    common::Status results[2];
+    {
+      ClusterNode node(0);
+      ASSERT_TRUE(node.EnableDurability(dir.path()).ok());
+      std::latch start(2);
+      auto ingest = [&](int which) {
+        Entity e("dup", "test");
+        e.SetBody(bodies[which]);
+        start.arrive_and_wait();
+        results[which] = node.Ingest(std::move(e));
+      };
+      std::thread first(ingest, 0);
+      std::thread second(ingest, 1);
+      first.join();
+      second.join();
+      ASSERT_NE(results[0].ok(), results[1].ok())
+          << "trial " << trial << ": " << results[0].ToString() << " / "
+          << results[1].ToString();
+      for (const common::Status& s : results) {
+        if (!s.ok()) {
+          EXPECT_EQ(s.code(), common::StatusCode::kAlreadyExists) << trial;
+        }
+      }
+      ASSERT_EQ(node.metrics().Snapshot().CounterValue("wal/appends_total"),
+                1u)
+          << "trial " << trial;
+    }
+    const std::string& acked = bodies[results[0].ok() ? 0 : 1];
+    ClusterNode revived(0);
+    ASSERT_TRUE(revived.EnableDurability(dir.path()).ok());
+    ASSERT_TRUE(revived.Recover().ok());
+    auto entity = revived.store().Get("dup");
+    ASSERT_TRUE(entity.ok()) << "trial " << trial;
+    ASSERT_EQ(entity->body(), acked) << "trial " << trial;
+  }
 }
 
 TEST(ClusterDurabilityTest, WholeClusterRestartsFromItsDirectory) {

@@ -275,6 +275,14 @@ TEST(MetricsSnapshotTest, MalformedWireLinesAreCorruption) {
            "h name 2 - 1 0",      // timing flag out of range
            "h name 0 1,2 1,1 0",  // counts must be bounds+1 long
            "h name 0 1,2 x,1,1 0",  // non-numeric bucket count
+           // Counters, bounds, bucket counts and sums are unsigned: a sign
+           // is malformed, not a count wrapped to 2^64 - 1.
+           "c name -1",
+           "c name +7",
+           "h name 0 1 -1,1 0",
+           "h name 0 1 +7,1 0",
+           "h name 0 -1 1,1 0",
+           "h name 0 1 1,1 -1",
        }) {
     common::Result<MetricsSnapshot> result = MetricsSnapshot::FromWire(bad);
     ASSERT_FALSE(result.ok()) << "accepted: " << bad;

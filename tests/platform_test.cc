@@ -55,25 +55,9 @@ TEST(EntityTest, FieldAccess) {
   EXPECT_EQ(e.GetField("missing"), "");
 }
 
-TEST(EntityTest, SerializeRoundTrip) {
-  Entity e = MakeEntity("round-trip");
-  auto restored = Entity::Deserialize(e.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(*restored, e);
-}
-
-TEST(EntityTest, SerializeRoundTripWithSpecialChars) {
-  Entity e("weird\tid", "src");
-  e.SetBody("line one\nline two\twith tab\\backslash");
-  e.SetField("k=v", "a=b\nc");
-  auto restored = Entity::Deserialize(e.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(*restored, e);
-}
-
 TEST(EntityTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Entity::Deserialize("nonsense\tstuff\n").ok());
-  EXPECT_FALSE(Entity::Deserialize("").ok());  // no id
+  EXPECT_FALSE(Entity::Deserialize("").ok());  // empty record
 }
 
 TEST(EntityTest, AnnotationsByLayer) {

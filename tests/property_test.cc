@@ -374,39 +374,6 @@ TEST(IndexReindexProperty, RetiredVersionsNeverShowThroughAnyQuery) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Entity serialization fuzz ---------------------------------------------------------
-
-TEST(EntityProperty, RoundTripsRandomContent) {
-  common::Rng rng(1006);
-  for (int trial = 0; trial < 100; ++trial) {
-    platform::Entity e("id-" + std::to_string(trial), RandomWord(rng));
-    // Random fields with hostile characters.
-    size_t fields = static_cast<size_t>(rng.Uniform(0, 4));
-    for (size_t f = 0; f < fields; ++f) {
-      std::string value;
-      size_t len = static_cast<size_t>(rng.Uniform(0, 30));
-      for (size_t i = 0; i < len; ++i) {
-        int c = static_cast<int>(rng.Uniform(0, 4));
-        value += c == 0 ? '\n' : c == 1 ? '\t' : c == 2 ? '\\' : 'x';
-      }
-      e.SetField(RandomWord(rng), value);
-    }
-    size_t anns = static_cast<size_t>(rng.Uniform(0, 3));
-    for (size_t a = 0; a < anns; ++a) {
-      platform::AnnotationSpan span;
-      span.begin = static_cast<size_t>(rng.Uniform(0, 100));
-      span.end = span.begin + static_cast<size_t>(rng.Uniform(1, 20));
-      span.attrs[RandomWord(rng)] = RandomWord(rng) + "\nwith=equals";
-      e.AddAnnotation(RandomWord(rng), span);
-    }
-    if (rng.Bernoulli(0.5)) e.AddConceptToken("sent/+/" + RandomWord(rng));
-
-    auto restored = platform::Entity::Deserialize(e.Serialize());
-    ASSERT_TRUE(restored.ok());
-    EXPECT_EQ(*restored, e);
-  }
-}
-
 // --- Entity record codec ------------------------------------------------------
 
 // Up to `max_len` of the bytes a record must carry through: newline, tab,

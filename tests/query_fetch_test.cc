@@ -87,9 +87,9 @@ std::vector<SentimentHit> ReferenceWalk(Cluster& cluster,
       ++*failures;
       continue;
     }
-    std::string serialized = GetMessageField(*response, "entity");
-    if (serialized.empty()) continue;
-    auto entity = Entity::Deserialize(serialized);
+    std::string record = GetMessageField(*response, "entity");
+    if (record.empty()) continue;
+    auto entity = Entity::DecodeRecord(record);
     if (!entity.ok()) continue;
     const auto* spans = entity->GetAnnotations("sentiment");
     if (spans == nullptr) continue;
@@ -188,9 +188,10 @@ uint64_t FetchCallsTotal(const Cluster& cluster) {
 
 constexpr char kUnknownSubject[] = "Zyxwvut Holdings";
 
-// node/<i>/fetch answers one entity line per id it holds, in request
-// order, so a one-id request keeps the single-entity reply; a request with
-// no id, a search scatter's call, gets an empty reply without a store read.
+// node/<i>/fetch answers one entity line, the entity's stored record, per
+// id it holds, in request order, so a one-id request keeps the
+// single-entity reply; a request with no id, a search scatter's call, gets
+// an empty reply without a store read.
 TEST(NodeFetchServiceTest, AnswersEachHeldIdInRequestOrder) {
   std::unique_ptr<Cluster> cluster = MinedWebCluster(2);
   ClusterNode& node = cluster->node(0);
@@ -204,7 +205,7 @@ TEST(NodeFetchServiceTest, AnswersEachHeldIdInRequestOrder) {
     auto entity = node.store().Get(id);
     EXPECT_TRUE(entity.ok()) << id;
     return std::pair<std::string, std::string>(
-        "entity", entity.ok() ? entity->Serialize() : "");
+        "entity", entity.ok() ? entity->EncodeRecord() : "");
   };
   auto fetch = [&cluster](
                    const std::vector<std::pair<std::string, std::string>>&
@@ -220,6 +221,35 @@ TEST(NodeFetchServiceTest, AnswersEachHeldIdInRequestOrder) {
       node.metrics().Snapshot().CounterValue("store/gets_total");
   EXPECT_EQ(fetch({{"term", "kodak"}}), "");
   EXPECT_EQ(node.metrics().Snapshot().CounterValue("store/gets_total"), gets);
+}
+
+// The reply carries the stored record byte for byte, so an entity whose id,
+// field name, attribute key and values hold a tab, a newline, a backslash
+// or '=' comes back equal to what the store holds.
+TEST(NodeFetchServiceTest, ReplyDecodesToTheStoredEntity) {
+  Cluster cluster(2);
+  Entity hostile("tab\tid", "crawl");
+  hostile.SetBody("line one\nline two\\ with a backslash");
+  hostile.SetField("k=v", "a=b\nc\\");
+  AnnotationSpan span;
+  span.begin = 0;
+  span.end = 8;
+  span.attrs["k=v"] = "x\ny";
+  span.attrs["sentence"] = "line one";
+  hostile.AddAnnotation("sentiment", span);
+  hostile.AddConceptToken("sent/+/a=b");
+  ASSERT_TRUE(cluster.Ingest(hostile).ok());
+  const size_t node = cluster.Route(hostile.id());
+
+  auto reply = cluster.bus().Call(common::StrFormat("node/%zu/fetch", node),
+                                  EncodeMessage({{"id", hostile.id()}}));
+  ASSERT_TRUE(reply.ok());
+  auto stored = cluster.node(node).store().Get(hostile.id());
+  ASSERT_TRUE(stored.ok());
+  auto decoded = Entity::DecodeRecord(GetMessageField(*reply, "entity"));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, *stored);
+  EXPECT_EQ(*decoded, hostile);
 }
 
 TEST(QueryFetchProperty, MatchesTheOneIdReferenceWalkOnOneToFourNodes) {

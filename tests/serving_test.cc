@@ -512,6 +512,36 @@ TEST(FrontDoorBusTest, ServesAndShedsThroughTheVinciEndpoint) {
   EXPECT_FALSE(platform::GetMessageField(*shed, "error").empty());
 }
 
+// A budget_us the endpoint cannot read as an unsigned integer is the
+// caller's error: it is refused with InvalidArgument before admission, so
+// no query runs on a budget the caller did not mean ("-1" is not "no
+// deadline", "abc" not the default).
+TEST(FrontDoorBusTest, MalformedBudgetIsInvalidArgumentAndRunsNoQuery) {
+  ServingHarness h;
+  WF_CHECK_OK(h.door->RegisterService());
+  for (const char* budget : {"abc", "-1", "+5", "12x"}) {
+    const uint64_t requests = h.Metric("serve/requests_total");
+    auto reply = h.cluster.bus().Call(
+        "app/front_door",
+        EncodeMessage({{"subject", "Kodak"}, {"budget_us", budget}}));
+    ASSERT_TRUE(reply.ok()) << budget;
+    EXPECT_EQ(platform::GetMessageField(*reply, "code"),
+              std::to_string(static_cast<int>(StatusCode::kInvalidArgument)))
+        << budget;
+    EXPECT_TRUE(platform::GetMessageField(*reply, "payload").empty());
+    EXPECT_NE(platform::GetMessageField(*reply, "error").find("budget_us"),
+              std::string::npos)
+        << budget;
+    EXPECT_EQ(h.Metric("serve/requests_total"), requests) << budget;
+  }
+  // A well-formed budget still serves.
+  auto served = h.cluster.bus().Call(
+      "app/front_door",
+      EncodeMessage({{"subject", "Kodak"}, {"budget_us", "2000000"}}));
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(platform::GetMessageField(*served, "code"), "0");
+}
+
 // --- Acceptance: 10x overload with faults and a slow node --------------------
 
 TEST(ServingAcceptanceTest, OverloadShedsHonestlyAndHealsByteIdentical) {
